@@ -1,8 +1,9 @@
 // Decision-path microbenchmarks (DESIGN.md §10) with a machine-readable
 // report for the CI tolerance gate.
 //
-// Four suites, each comparing the zero-copy / incremental decision path
-// against the materialize-and-rebuild path it replaced:
+// Four suites compare the zero-copy / incremental decision path against
+// the materialize-and-rebuild path it replaced, and a fifth times the
+// sweep entry point itself:
 //
 //   1. history query    — PriceView window + min scan vs an owning
 //                         PriceSeries::window materialization.
@@ -17,6 +18,10 @@
 //                         old per-decision materialize + rebuild behaviour.
 //                         Totals are asserted bit-identical: the two paths
 //                         make exactly the same decisions.
+//   5. repeat sweep call — run_fixed_sweep on the 14-month paper market
+//                         after a first call on it: the market's trace
+//                         index and fingerprint are reused, so a repeat
+//                         call costs its lanes, not an O(trace) rebuild.
 //
 // A global operator-new hook additionally counts heap allocations on the
 // steady-state policy path (constant-price slide + memoized uptime), which
@@ -45,9 +50,11 @@
 #include "core/engine.hpp"
 #include "core/policies/rising_edge.hpp"
 #include "core/strategy.hpp"
+#include "exp/sweep.hpp"
 #include "markov/incremental.hpp"
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/zone_traces.hpp"
 
 // --- Allocation-counting hook (mirrors tests/decision_path_test.cpp) --------
@@ -506,7 +513,26 @@ int main(int argc, char** argv) {
                static_cast<double>(starts.size() * bids.size() * 2));
   }
 
-  // --- 5. steady-state allocation count --------------------------------------
+  // --- 5. repeat sweep call on an already-used market ------------------------
+  {
+    const SpotMarket market(paper_traces(3), cc2_instance(),
+                            QueueDelayModel(QueueDelayParams::fixed(0)));
+    const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 16};
+    const PolicyRunSpec spec{PolicyKind::kThreshold, Money::cents(81), {0}};
+    const std::vector<double> first =
+        checked_costs(run_fixed_sweep(market, scenario, spec));
+    // Same rep count in --quick: the gate compares this key across modes.
+    const double repeat_ms =
+        median_ns(9, 5, [&](int) {
+          const std::vector<double> costs =
+              checked_costs(run_fixed_sweep(market, scenario, spec));
+          REDSPOT_CHECK_MSG(costs == first, "repeat sweep call diverged");
+        }) /
+        1e6;
+    report.set("fig4_repeat_call_ms", repeat_ms);
+  }
+
+  // --- 6. steady-state allocation count --------------------------------------
   {
     const PriceSeries flat(0, kPriceStep,
                            std::vector<Money>(kWindow + 128, Money::cents(30)));

@@ -20,6 +20,15 @@ namespace redspot {
 /// Order-sensitive 64-bit fingerprint accumulator (SplitMix64 cascade).
 class HashStream {
  public:
+  /// Continues a stream whose digest() was `digest`: feeding it X yields
+  /// the digest the original stream would reach after X. Lets a memoized
+  /// prefix (SpotMarket::fingerprint) stand in for re-hashing its inputs.
+  static HashStream resume(std::uint64_t digest) {
+    HashStream h;
+    h.state_ = digest;
+    return h;
+  }
+
   void u64(std::uint64_t v) {
     state_ ^= v + 0x9E3779B97F4A7C15ULL + (state_ << 6) + (state_ >> 2);
     state_ = splitmix64(state_);

@@ -11,7 +11,9 @@ namespace redspot::batch {
 
 BatchedSweepEngine::BatchedSweepEngine(const SpotMarket& market,
                                        EngineOptions options)
-    : market_(&market), options_(options), index_(market.traces()) {}
+    : market_(&market),
+      options_(options),
+      index_(&market.trace_index()) {}
 
 bool BatchedSweepEngine::can_batch(const EngineOptions& options) {
   return !options.faults.enabled();
@@ -49,7 +51,7 @@ std::vector<RunResult> BatchedSweepEngine::run(
         std::make_unique<FixedStrategy>(c.bid, c.zones, std::move(policy)));
     engines.push_back(std::make_unique<Engine>(*market_, c.experiment,
                                                *strategies.back(), options_));
-    engines.back()->set_shared_trace(&index_);
+    engines.back()->set_shared_trace(index_);
     if (c.observer != nullptr) engines.back()->add_observer(c.observer);
   }
 

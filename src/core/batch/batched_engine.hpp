@@ -9,7 +9,8 @@
 // every lane with an event at that instant drains its burst in lane order
 // — so the group shares, across every lane:
 //
-//   * one SharedTraceIndex: S_min queries are O(1) table loads into
+//   * the market's SharedTraceIndex (SpotMarket::trace_index(), built
+//     once per market): S_min queries are O(1) table loads into
 //     cache-resident data instead of N × O(window) scans;
 //   * one ZoneModelPool: each per-zone model slides ONCE per tick for the
 //     whole group (windows are pure functions of (zone, now)), and its
@@ -22,8 +23,8 @@
 // in a run() call — divergent per-lane control flow costs nothing in
 // correctness. Bit-identity of the shared state is by construction: every
 // shared value is a pure function of inputs that do not depend on which
-// lane asks (see trace_index.hpp / model_pool.hpp), so the batched sweep
-// reproduces the scalar sweep's RunResults bit-for-bit for ANY lane
+// lane asks (see trace/trace_index.hpp / model_pool.hpp), so the batched
+// sweep reproduces the scalar sweep's RunResults bit-for-bit for ANY lane
 // interleaving. The time-ordered interleaving is a performance choice
 // (models only slide forward), not a correctness requirement.
 //
@@ -36,7 +37,6 @@
 #include <span>
 #include <vector>
 
-#include "core/batch/trace_index.hpp"
 #include "core/engine.hpp"
 
 namespace redspot::batch {
@@ -54,9 +54,10 @@ struct BatchConfig {
 
 class BatchedSweepEngine {
  public:
-  /// Builds the shared trace index once; `market` must outlive the
-  /// engine. The engine is immutable after construction, so one instance
-  /// serves many concurrent run() calls (one per sweep task).
+  /// Borrows the market's trace index, building it if no sweep on
+  /// `market` has yet; `market` must outlive the engine. The engine is
+  /// immutable after construction, so one instance serves many
+  /// concurrent run() calls (one per sweep task).
   explicit BatchedSweepEngine(const SpotMarket& market,
                               EngineOptions options = {});
 
@@ -78,12 +79,10 @@ class BatchedSweepEngine {
   /// Engine::run() of the same config produces. Thread-safe.
   std::vector<RunResult> run(std::span<const BatchConfig> configs) const;
 
-  const SharedTraceIndex& trace_index() const { return index_; }
-
  private:
   const SpotMarket* market_;
   EngineOptions options_;
-  SharedTraceIndex index_;
+  const SharedTraceIndex* index_;
 };
 
 }  // namespace redspot::batch

@@ -64,10 +64,6 @@
 
 namespace redspot {
 
-namespace batch {
-class SharedTraceIndex;
-}  // namespace batch
-
 struct EngineOptions {
   bool record_timeline = false;
   bool record_line_items = false;
@@ -131,9 +127,9 @@ class Engine final : public EngineView,
 
   /// Routes min_observed_price() through a shared O(1) range-min index
   /// over the market traces (bit-identical to the linear scan — see
-  /// core/batch/trace_index.hpp). The index must be built over this
-  /// engine's market and outlive the run. Call before begin()/run().
-  void set_shared_trace(const batch::SharedTraceIndex* index) {
+  /// trace/trace_index.hpp). The index must be built over this engine's
+  /// market and outlive the run. Call before begin()/run().
+  void set_shared_trace(const SharedTraceIndex* index) {
     shared_trace_ = index;
   }
 
@@ -269,7 +265,7 @@ class Engine final : public EngineView,
   Experiment experiment_;
   Strategy* strategy_;
   EngineOptions options_;
-  const batch::SharedTraceIndex* shared_trace_ = nullptr;
+  const SharedTraceIndex* shared_trace_ = nullptr;
 
   EventQueue queue_;
   Rng queue_rng_;

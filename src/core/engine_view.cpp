@@ -1,8 +1,8 @@
 // The EngineView read surface: what policies and strategies may observe.
 #include <algorithm>
 
-#include "core/batch/trace_index.hpp"
 #include "core/engine.hpp"
+#include "trace/trace_index.hpp"
 
 namespace redspot {
 

@@ -20,13 +20,21 @@ namespace redspot {
 
 namespace {
 
-/// Lanes per lockstep group on the fixed-policy fast path. Wide enough to
-/// amortize the shared models/index across a group, small enough that
-/// groups still fill the thread pool on the paper's 80-experiment sweeps.
+/// Most lanes per lockstep group on the fixed-policy fast path: wide
+/// enough to amortize the shared models across a group.
 constexpr std::size_t kSweepBatchWidth = 16;
 
+/// Lanes per group for `pending` chunks: kSweepBatchWidth, narrowed so a
+/// small sweep still spreads over every pool thread. Results do not
+/// depend on the width (BatchedSweepEngine contract), only the speed does.
+std::size_t sweep_group_width(std::size_t pending) {
+  const std::size_t threads = default_pool().size();  // at least 1
+  const std::size_t per_thread = (pending + threads - 1) / threads;
+  return std::clamp<std::size_t>(per_thread, 1, kSweepBatchWidth);
+}
+
 /// Batched execution of the non-replayed chunks of a fixed-policy sweep:
-/// groups of kSweepBatchWidth lanes run in lockstep, each lane audited
+/// groups of sweep_group_width() lanes run in lockstep, each lane audited
 /// and journaled exactly as on the scalar path. Bit-identical to the
 /// scalar path by the BatchedSweepEngine contract.
 void run_chunks_batched(const SpotMarket& market, const Scenario& scenario,
@@ -36,11 +44,11 @@ void run_chunks_batched(const SpotMarket& market, const Scenario& scenario,
                         const std::vector<std::size_t>& chunks,
                         std::vector<RunResult>& results) {
   const batch::BatchedSweepEngine batcher(market, engine_options);
-  const std::size_t groups =
-      (chunks.size() + kSweepBatchWidth - 1) / kSweepBatchWidth;
+  const std::size_t width = sweep_group_width(chunks.size());
+  const std::size_t groups = (chunks.size() + width - 1) / width;
   parallel_for(0, groups, [&](std::size_t g) {
-    const std::size_t lo = g * kSweepBatchWidth;
-    const std::size_t hi = std::min(lo + kSweepBatchWidth, chunks.size());
+    const std::size_t lo = g * width;
+    const std::size_t hi = std::min(lo + width, chunks.size());
     std::vector<batch::BatchConfig> configs;
     std::vector<std::unique_ptr<AuditObserver>> audits;
     configs.reserve(hi - lo);
@@ -140,35 +148,12 @@ std::vector<RunResult> run_sweep(const SpotMarket& market,
   return results;
 }
 
-void hash_market(HashStream& h, const SpotMarket& market) {
-  const InstanceType& instance = market.instance_type();
-  h.str(instance.api_name);
-  h.i64(instance.on_demand_rate.micros());
-  const QueueDelayParams& delay = market.delay_model().params();
-  h.f64(delay.shift_seconds);
-  h.f64(delay.mu);
-  h.f64(delay.sigma);
-  h.i64(static_cast<std::int64_t>(delay.min_delay));
-  h.i64(static_cast<std::int64_t>(delay.max_delay));
-  const ZoneTraceSet& traces = market.traces();
-  h.u64(traces.num_zones());
-  for (std::size_t z = 0; z < traces.num_zones(); ++z) {
-    h.str(traces.zone_name(z));
-    const PriceSeries& series = traces.zone(z);
-    h.i64(static_cast<std::int64_t>(series.start()));
-    h.i64(static_cast<std::int64_t>(series.step()));
-    h.u64(series.size());
-    for (const Money price : series.samples()) h.i64(price.micros());
-  }
-}
-
 }  // namespace
 
 std::uint64_t sweep_base_key(const SpotMarket& market,
                              const Scenario& scenario,
                              const EngineOptions& engine_options) {
-  HashStream h;
-  hash_market(h, market);
+  HashStream h = HashStream::resume(market.fingerprint());
   h.u64(static_cast<std::uint64_t>(scenario.window));
   h.f64(scenario.slack_fraction);
   h.i64(static_cast<std::int64_t>(scenario.checkpoint_cost));

@@ -71,6 +71,7 @@ std::vector<RunResult> run_large_bid_sweep(const SpotMarket& market,
 /// Fingerprint shared by every sweep of the same (market, scenario, engine
 /// options): traces, instance type, delay model and cell parameters. Each
 /// run_*_sweep mixes its own configuration on top to form its journal key.
+/// The market part is SpotMarket::fingerprint(), hashed once per market.
 std::uint64_t sweep_base_key(const SpotMarket& market,
                              const Scenario& scenario,
                              const EngineOptions& engine_options);

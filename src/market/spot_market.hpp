@@ -4,9 +4,16 @@
 // spot prices (a trace window), the on-demand rate of the instance type,
 // and the acquisition-delay model. The engine interacts with prices only
 // through this class, keeping the trace representation swappable.
+//
+// A market is immutable, so state derived from it alone — the range-min
+// trace index batched sweeps share and the fingerprint journal keys start
+// from — is built once per market, on first use, and reused by every
+// later caller on any thread (DESIGN.md §14).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 
 #include "common/money.hpp"
 #include "common/random.hpp"
@@ -17,11 +24,21 @@
 
 namespace redspot {
 
+class SharedTraceIndex;
+
 class SpotMarket {
  public:
   /// `traces` must cover every instant the engine will query.
   SpotMarket(ZoneTraceSet traces, InstanceType instance_type,
              QueueDelayModel delay_model);
+
+  /// A copy owns new trace storage, so it starts with fresh derived state
+  /// (the index addresses samples by pointer). A move keeps the storage
+  /// and the derived state with it.
+  SpotMarket(const SpotMarket& other);
+  SpotMarket& operator=(const SpotMarket& other);
+  SpotMarket(SpotMarket&&) noexcept = default;
+  SpotMarket& operator=(SpotMarket&&) noexcept = default;
 
   std::size_t num_zones() const { return traces_.num_zones(); }
 
@@ -55,10 +72,25 @@ class SpotMarket {
   const ZoneTraceSet& traces() const { return traces_; }
   const QueueDelayModel& delay_model() const { return delay_model_; }
 
+  /// Range-min index over this market's traces, built on the first call
+  /// (O(samples log samples)) and shared by every later one. Thread-safe;
+  /// the reference lives as long as the market (or the market it is
+  /// moved into).
+  const SharedTraceIndex& trace_index() const;
+
+  /// HashStream digest of the instance type, delay model and every trace
+  /// sample, computed on the first call. Sweep journal keys resume from
+  /// it (HashStream::resume), so they equal hashing the market inline.
+  /// Thread-safe.
+  std::uint64_t fingerprint() const;
+
  private:
+  struct Derived;
+
   ZoneTraceSet traces_;
   InstanceType instance_type_;
   QueueDelayModel delay_model_;
+  std::shared_ptr<Derived> derived_;
 };
 
 }  // namespace redspot

@@ -10,10 +10,15 @@
 // / unique-mode and random-walk / quantile-binned windows) — plus the SoA
 // kernels the lockstep driver is built from, and a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
-// (meaningful under TSan).
+// (meaningful under TSan), plus a race for a fresh market's lazily built
+// trace index (also meaningful under TSan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/parallel.hpp"
@@ -23,6 +28,7 @@
 #include "core/strategy.hpp"
 #include "markov/model.hpp"
 #include "test_util.hpp"
+#include "trace/trace_index.hpp"
 
 namespace redspot {
 namespace {
@@ -295,6 +301,95 @@ TEST(BatchedSweep, ConcurrentRunsShareOneEngine) {
                        "run " + std::to_string(r) + " lane " +
                            std::to_string(i));
     }
+  }
+}
+
+// --- Per-market shared trace index -------------------------------------------
+
+// Every S_min answer the index gives for windows over `market`'s own
+// traces equals the linear scan.
+void expect_index_matches_scan(const SpotMarket& market, Rng& rng,
+                               const std::string& label) {
+  SCOPED_TRACE(label);
+  const SharedTraceIndex& index = market.trace_index();
+  for (int q = 0; q < 200; ++q) {
+    const std::size_t zone = rng.uniform_index(market.num_zones());
+    const PriceSeries& series = market.traces().zone(zone);
+    const std::size_t lo = rng.uniform_index(series.size());
+    const std::size_t len = 1 + rng.uniform_index(series.size() - lo);
+    const PriceView view = series.view(series.time_of(lo),
+                                       series.time_of(lo) +
+                                           static_cast<SimTime>(len) *
+                                               series.step());
+    EXPECT_EQ(index.min_over(zone, view).micros(),
+              view.min_price().micros());
+  }
+}
+
+// Eight threads race for a fresh market's index, half through
+// trace_index() and half by constructing (and running) a
+// BatchedSweepEngine: one index gets built, everyone sees it, and it
+// answers exactly. Under TSan this also proves the lazy build is
+// race-free.
+TEST(SharedTraceIndex, BuiltOncePerMarketUnderConcurrentFirstUse) {
+  Rng rng(9004);
+  std::vector<PriceSeries> series;
+  series.push_back(alphabet_series(rng, 2000));
+  series.push_back(walk_series(rng, 2000));
+  series.push_back(walk_series(rng, 2000));
+  const SpotMarket market = testing::make_market(testing::zones(series));
+  const std::vector<BatchConfig> configs = random_grid(rng, 3, 4);
+
+  constexpr std::size_t kThreads = 8;
+  const std::uint64_t builds_before = SharedTraceIndex::builds();
+  std::vector<const SharedTraceIndex*> seen(kThreads, nullptr);
+  std::vector<std::vector<RunResult>> runs(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      if (t % 2 == 0) {
+        seen[t] = &market.trace_index();
+      } else {
+        const BatchedSweepEngine batcher(market);
+        runs[t] = batcher.run(configs);
+        seen[t] = &market.trace_index();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_EQ(SharedTraceIndex::builds() - builds_before, 1u);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "thread " << t;
+    if (t % 2 == 0) continue;
+    ASSERT_EQ(runs[t].size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      expect_identical(runs[t][i], scalar_run(market, configs[i], {}),
+                       "thread " + std::to_string(t) + " lane " +
+                           std::to_string(i));
+    }
+  }
+  expect_index_matches_scan(market, rng, "shared market");
+
+  // A copy owns new trace storage, so it gets (and builds) its own index.
+  SpotMarket copy(market);
+  EXPECT_NE(&copy.trace_index(), &market.trace_index());
+  EXPECT_EQ(SharedTraceIndex::builds() - builds_before, 2u);
+  expect_index_matches_scan(copy, rng, "copied market");
+
+  // A move keeps the storage, so the built index moves with it.
+  const SharedTraceIndex* copy_index = &copy.trace_index();
+  const SpotMarket moved(std::move(copy));
+  EXPECT_EQ(&moved.trace_index(), copy_index);
+  EXPECT_EQ(SharedTraceIndex::builds() - builds_before, 2u);
+  expect_index_matches_scan(moved, rng, "moved market");
+  const BatchedSweepEngine moved_batcher(moved);
+  const std::vector<RunResult> moved_runs = moved_batcher.run(configs);
+  for (std::size_t i = 0; i < configs.size(); ++i) {
+    expect_identical(moved_runs[i], scalar_run(market, configs[i], {}),
+                     "moved lane " + std::to_string(i));
   }
 }
 

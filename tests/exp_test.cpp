@@ -2,6 +2,10 @@
 // report formatting.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/strategy.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
 #include "exp/sweep.hpp"
@@ -110,6 +114,81 @@ TEST(Sweep, BestCaseRedundancyIsElementwiseMin) {
         market, scenario, PolicyRunSpec{p, Money::cents(81), zones}));
     for (std::size_t i = 0; i < best.size(); ++i)
       EXPECT_LE(best[i], single[i] + 1e-9);
+  }
+}
+
+void expect_same_run(const RunResult& a, const RunResult& b,
+                     const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(a.total_cost.micros(), b.total_cost.micros());
+  EXPECT_EQ(a.spot_cost.micros(), b.spot_cost.micros());
+  EXPECT_EQ(a.on_demand_cost.micros(), b.on_demand_cost.micros());
+  EXPECT_EQ(a.completed, b.completed);
+  EXPECT_EQ(a.met_deadline, b.met_deadline);
+  EXPECT_EQ(a.finish_time, b.finish_time);
+  EXPECT_EQ(a.checkpoints_committed, b.checkpoints_committed);
+  EXPECT_EQ(a.restarts, b.restarts);
+  EXPECT_EQ(a.out_of_bid_terminations, b.out_of_bid_terminations);
+  EXPECT_EQ(a.full_outages, b.full_outages);
+  EXPECT_EQ(a.spot_instance_seconds, b.spot_instance_seconds);
+  EXPECT_EQ(a.on_demand_seconds, b.on_demand_seconds);
+  EXPECT_EQ(a.queue_delay_total, b.queue_delay_total);
+  EXPECT_EQ(a.switched_to_on_demand, b.switched_to_on_demand);
+  EXPECT_EQ(a.config_changes, b.config_changes);
+  EXPECT_EQ(a.committed_progress, b.committed_progress);
+  ASSERT_EQ(a.checkpoint_log.size(), b.checkpoint_log.size());
+  for (std::size_t i = 0; i < a.checkpoint_log.size(); ++i) {
+    EXPECT_EQ(a.checkpoint_log[i].committed_at,
+              b.checkpoint_log[i].committed_at);
+    EXPECT_EQ(a.checkpoint_log[i].progress, b.checkpoint_log[i].progress);
+    EXPECT_EQ(a.checkpoint_log[i].valid, b.checkpoint_log[i].valid);
+  }
+  ASSERT_EQ(a.line_items.size(), b.line_items.size());
+  for (std::size_t i = 0; i < a.line_items.size(); ++i) {
+    EXPECT_EQ(a.line_items[i].kind, b.line_items[i].kind);
+    EXPECT_EQ(a.line_items[i].zone, b.line_items[i].zone);
+    EXPECT_EQ(a.line_items[i].cycle_start, b.line_items[i].cycle_start);
+    EXPECT_EQ(a.line_items[i].charged_at, b.line_items[i].charged_at);
+    EXPECT_EQ(a.line_items[i].amount.micros(), b.line_items[i].amount.micros());
+  }
+  ASSERT_EQ(a.timeline.size(), b.timeline.size());
+  for (std::size_t i = 0; i < a.timeline.size(); ++i) {
+    EXPECT_EQ(a.timeline[i].time, b.timeline[i].time);
+    EXPECT_EQ(a.timeline[i].zone, b.timeline[i].zone);
+    EXPECT_EQ(a.timeline[i].kind, b.timeline[i].kind);
+    EXPECT_EQ(a.timeline[i].detail, b.timeline[i].detail);
+  }
+}
+
+// Small sweeps split into narrower lockstep groups so they spread over
+// the pool: the chunk counts cover one-lane groups, a remainder group and
+// the full 16-lane width. Whatever the grouping, every chunk must match a
+// scalar run of the same chunk exactly, timeline and line items included.
+TEST(Sweep, SmallSweepGroupingMatchesScalarRuns) {
+  const SpotMarket market(paper_traces(3), cc2_instance(),
+                          QueueDelayModel(QueueDelayParams::fixed(200)));
+  EngineOptions options;
+  options.record_timeline = true;
+  options.record_line_items = true;
+  const PolicyRunSpec specs[] = {
+      {PolicyKind::kThreshold, Money::cents(81), {1}},
+      {PolicyKind::kMarkovDaly, Money::cents(81), {0, 1, 2}}};
+  const std::size_t kChunkCounts[] = {2, 3, 5, 16, 17, 33};
+  for (const std::size_t chunks : kChunkCounts) {
+    const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, chunks};
+    for (const PolicyRunSpec& spec : specs) {
+      const std::vector<RunResult> swept =
+          run_fixed_sweep(market, scenario, spec, options);
+      ASSERT_EQ(swept.size(), chunks);
+      for (std::size_t i = 0; i < chunks; ++i) {
+        FixedStrategy strategy(spec.bid, spec.zones, make_policy(spec.policy));
+        Engine engine(market, scenario.experiment(i), strategy, options);
+        expect_same_run(swept[i], engine.run(),
+                        to_string(spec.policy) + " chunks=" +
+                            std::to_string(chunks) + " chunk " +
+                            std::to_string(i));
+      }
+    }
   }
 }
 

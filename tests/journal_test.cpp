@@ -17,6 +17,7 @@
 #include <fstream>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -639,6 +640,62 @@ TEST(SweepJournalTest, DifferentConfigurationsGetDistinctKeys) {
             sweep_base_key(market, other, {}));
   EXPECT_NE(sweep_base_key(market, scenario, {}),
             sweep_base_key(market, scenario, notice));
+}
+
+// Sweep journal keys resume from the market's memoized fingerprint instead
+// of re-hashing every trace sample per call. The literal below was
+// computed by hashing the market inline, so a journal written before the
+// memoization still resolves.
+TEST(SweepJournalTest, BaseKeyIsPinned) {
+  const SpotMarket market(paper_traces(3), cc2_instance(), QueueDelayModel());
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 2};
+  EXPECT_EQ(sweep_base_key(market, scenario, {}), 0x7d5a2a3094a38ca5ULL);
+  EXPECT_EQ(sweep_base_key(market, scenario, {}), 0x7d5a2a3094a38ca5ULL);
+  EngineOptions notice;
+  notice.termination_notice = 120;
+  EXPECT_EQ(sweep_base_key(market, scenario, notice), 0x64029897c489163eULL);
+
+  // Copies and moves carry the same fingerprint (copies recompute it).
+  SpotMarket copy(market);
+  EXPECT_EQ(copy.fingerprint(), market.fingerprint());
+  const SpotMarket moved(std::move(copy));
+  EXPECT_EQ(moved.fingerprint(), market.fingerprint());
+}
+
+TEST(SweepJournalTest, FingerprintCoversEveryMarketInput) {
+  const ZoneTraceSet traces = paper_traces(3);
+  const SpotMarket base(traces, cc2_instance(), QueueDelayModel());
+
+  // One trace sample, one cent up, in the middle zone.
+  std::vector<std::string> names;
+  std::vector<PriceSeries> series;
+  for (std::size_t z = 0; z < traces.num_zones(); ++z) {
+    names.push_back(traces.zone_name(z));
+    series.push_back(traces.zone(z));
+  }
+  std::vector<Money> samples(series[1].samples().begin(),
+                             series[1].samples().end());
+  samples[samples.size() / 2] += Money::cents(1);
+  series[1] = PriceSeries(series[1].start(), series[1].step(),
+                          std::move(samples));
+  const SpotMarket sample_changed(ZoneTraceSet(names, series), cc2_instance(),
+                                  QueueDelayModel());
+  EXPECT_NE(sample_changed.fingerprint(), base.fingerprint());
+
+  InstanceType pricier = cc2_instance();
+  pricier.on_demand_rate += Money::cents(1);
+  const SpotMarket rate_changed(traces, pricier, QueueDelayModel());
+  EXPECT_NE(rate_changed.fingerprint(), base.fingerprint());
+
+  QueueDelayParams delay;
+  delay.sigma += 0.001;
+  const SpotMarket delay_changed(traces, cc2_instance(),
+                                 QueueDelayModel(delay));
+  EXPECT_NE(delay_changed.fingerprint(), base.fingerprint());
+
+  const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 2};
+  EXPECT_NE(sweep_base_key(sample_changed, scenario, {}),
+            sweep_base_key(base, scenario, {}));
 }
 
 }  // namespace
