@@ -4,11 +4,9 @@
 //
 // Three suites pin the cost of the engine decomposition's calendar:
 //
-//   1. push/pop      — EventQueue schedule + dispatch throughput vs the
-//                      generic sim/Simulation calendar on the identical
-//                      workload. The typed queue carries EventKind + zone
-//                      per entry; its dispatch overhead over the untyped
-//                      core is gated by a hard ratio ceiling.
+//   1. push/pop      — EventQueue schedule + dispatch throughput on a
+//                      price-tick chain, gated as a median and by a hard
+//                      per-event ceiling.
 //   2. cancel churn  — the engine's deadline-trigger pattern: schedule,
 //                      cancel, reschedule under a live backlog; exercises
 //                      lazy deletion + heap compaction. The backlog bound
@@ -32,7 +30,6 @@
 #include "core/events/trace_recorder.hpp"
 #include "core/strategy.hpp"
 #include "market/spot_market.hpp"
-#include "sim/simulation.hpp"
 #include "trace/zone_traces.hpp"
 
 namespace redspot {
@@ -61,16 +58,16 @@ double median_run_ns(int reps, F&& fn) {
   return ns[ns.size() / 2];
 }
 
-/// The shared calendar workload: a seed event chain (price-tick style)
-/// plus a fan of per-zone events, `n` dispatches total.
-template <typename Queue, typename Schedule>
-void run_calendar(Queue& queue, Schedule&& schedule, int n) {
+/// The calendar workload: a price-tick style event chain, `n` dispatches.
+void run_calendar(EventQueue& queue, int n) {
   int remaining = n;
   std::function<void()> tick = [&] {
     g_sink += static_cast<std::int64_t>(queue.now());
-    if (--remaining > 0) schedule(queue.now() + 300, tick);
+    if (--remaining > 0)
+      queue.schedule_at(EventKind::kPriceTick, kNoZone, queue.now() + 300,
+                        tick);
   };
-  schedule(SimTime{0}, tick);
+  queue.schedule_at(EventKind::kPriceTick, kNoZone, SimTime{0}, tick);
   while (queue.step()) {
   }
   REDSPOT_CHECK(remaining == 0);
@@ -112,29 +109,13 @@ int main(int argc, char** argv) {
   const int reps = quick ? 5 : 9;
   const int n = quick ? 20000 : 100000;
 
-  // --- 1. push/pop: typed queue vs the generic calendar ---------------------
+  // --- 1. push/pop ----------------------------------------------------------
   {
     const double typed_ns = median_run_ns(reps, [&] {
       EventQueue queue(0);
-      run_calendar(
-          queue,
-          [&queue](SimTime t, const std::function<void()>& cb) {
-            queue.schedule_at(EventKind::kPriceTick, kNoZone, t, cb);
-          },
-          n);
-    });
-    const double generic_ns = median_run_ns(reps, [&] {
-      Simulation sim(0);
-      run_calendar(
-          sim,
-          [&sim](SimTime t, const std::function<void()>& cb) {
-            sim.schedule_at(t, cb);
-          },
-          n);
+      run_calendar(queue, n);
     });
     report.set("queue_push_pop_ns", typed_ns / n);
-    report.set("generic_push_pop_ns", generic_ns / n);
-    report.set("event_core_overhead_ratio", typed_ns / generic_ns);
   }
 
   // --- 2. cancel churn (the deadline-trigger reschedule pattern) ------------

@@ -1,8 +1,8 @@
 // The batch FP kernel TU. Must be compiled with -ffp-contract=off: the
 // matching define below is set by src/core/CMakeLists.txt alongside the
 // flag, so dropping either breaks the build instead of silently breaking
-// the batched-vs-scalar bit-identity contract. The integer argmin kernels
-// live inline in the header — only double arithmetic needs this TU.
+// the batched-vs-scalar bit-identity contract. The integer min kernel
+// lives inline in the header — only double arithmetic needs this TU.
 #ifndef REDSPOT_BATCH_FP_STRICT
 #error "batch kernel TU requires -ffp-contract=off (src/core/CMakeLists.txt)"
 #endif

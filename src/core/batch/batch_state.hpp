@@ -3,8 +3,8 @@
 //
 // The lockstep driver keeps NOTHING per engine on the heap at decision
 // granularity: one contiguous array of next-event times is the whole
-// scheduling state, and picking the engine to advance is a fused
-// min/argmin reduction over it. The bid-grid × state-price inner loop of
+// scheduling state, and finding the next instant is a min reduction over
+// it. The bid-grid × state-price inner loop of
 // the model-pool prewarm is likewise a flat two-array sweep with a
 // branchless bid-vs-price mask — no data-dependent branches, so both
 // loops autovectorize.
@@ -35,32 +35,13 @@ struct BatchState {
   std::size_t size() const { return next_time.size(); }
 };
 
-/// Fused min/argmin over next_time: the lane with the globally earliest
-/// event, lowest index on ties (the FIFO discipline of the scalar sweep).
-/// SIZE_MAX when every lane reads kNever (all engines finished).
-/// Integer-only (SimTime), so it lives here inline — the FP-determinism
-/// contract only binds the kernels doing double arithmetic, and the
-/// lockstep driver calls this once per dispatched event.
-inline std::size_t argmin_next(const BatchState& state) {
-  const SimTime* times = state.next_time.data();
-  const std::size_t n = state.next_time.size();
-  SimTime best = kNever;
-  std::size_t best_i = SIZE_MAX;
-  for (std::size_t i = 0; i < n; ++i) {
-    // Strict < keeps the lowest index on ties; conditional moves, not
-    // branches, so the reduction stays flat.
-    const bool better = times[i] < best;
-    best = better ? times[i] : best;
-    best_i = better ? i : best_i;
-  }
-  return best == kNever ? SIZE_MAX : best_i;
-}
-
 /// Plain min over next_time — the group's next event instant, kNever once
 /// every lane finished. No index tracking, so the reduction is a bare
 /// vectorizable min; the lockstep driver visits the lanes at that instant
 /// in index order itself (one linear pass), which reproduces the
-/// lowest-index FIFO tie rule of a per-event argmin.
+/// lowest-index FIFO tie rule of a per-event argmin. Integer-only
+/// (SimTime), so it lives here inline — the FP-determinism contract only
+/// binds the kernels doing double arithmetic.
 inline SimTime min_next(const BatchState& state) {
   const SimTime* times = state.next_time.data();
   const std::size_t n = state.next_time.size();

@@ -9,58 +9,64 @@
 
 namespace redspot::batch {
 
+std::size_t group_width(const Strategy& lane, std::size_t static_width) {
+  REDSPOT_CHECK(static_width >= 1);
+  return lane.dynamic() ? 1 : static_width;
+}
+
+std::vector<std::vector<std::size_t>> plan_groups(std::span<const Lane> lanes,
+                                                  std::size_t static_width) {
+  std::vector<std::vector<std::size_t>> groups;
+  std::vector<std::size_t> open;  // the static group being filled
+  for (std::size_t i = 0; i < lanes.size(); ++i) {
+    if (group_width(*lanes[i].strategy, static_width) == 1) {
+      groups.push_back({i});
+      continue;
+    }
+    open.push_back(i);
+    if (open.size() == static_width) {
+      groups.push_back(std::move(open));
+      open.clear();
+    }
+  }
+  if (!open.empty()) groups.push_back(std::move(open));
+  return groups;
+}
+
 BatchedSweepEngine::BatchedSweepEngine(const SpotMarket& market,
                                        EngineOptions options)
-    : market_(&market),
-      options_(options),
-      index_(&market.trace_index()) {}
+    : market_(&market), options_(std::move(options)) {}
 
-bool BatchedSweepEngine::can_batch(const EngineOptions& options) {
-  return !options.faults.enabled();
-}
-
-bool BatchedSweepEngine::can_batch(const EngineOptions& a,
-                                   const EngineOptions& b) {
-  return can_batch(a) && can_batch(b) && a.regime == b.regime;
-}
-
-std::vector<RunResult> BatchedSweepEngine::run(
-    std::span<const BatchConfig> configs) const {
-  const std::size_t n = configs.size();
+std::vector<RunResult> BatchedSweepEngine::run_lanes(
+    std::span<const Lane> lanes) const {
+  const std::size_t n = lanes.size();
   std::vector<RunResult> results(n);
   if (n == 0) return results;
-  REDSPOT_CHECK_MSG(can_batch(options_),
-                    "batched sweep with non-batchable engine options");
 
   // Shared state of the group: one model pool, its bid grid spanning
-  // every lane so the prewarm kernel covers the whole group.
+  // every lane's starting bid (set below, once the lanes have begun and
+  // before any of them steps) so the prewarm kernel covers the group.
   ZoneModelPool pool;
-  std::vector<Money> bids;
-  bids.reserve(n);
-  for (const BatchConfig& c : configs) bids.push_back(c.bid);
-  pool.set_bid_grid(bids);
-
-  std::vector<std::unique_ptr<FixedStrategy>> strategies;
   std::vector<std::unique_ptr<Engine>> engines;
-  strategies.reserve(n);
   engines.reserve(n);
-  for (const BatchConfig& c : configs) {
-    std::unique_ptr<Policy> policy = make_policy(c.policy);
-    policy->use_model_pool(&pool);
-    strategies.push_back(
-        std::make_unique<FixedStrategy>(c.bid, c.zones, std::move(policy)));
-    engines.push_back(std::make_unique<Engine>(*market_, c.experiment,
-                                               *strategies.back(), options_));
-    engines.back()->set_shared_trace(index_);
-    if (c.observer != nullptr) engines.back()->add_observer(c.observer);
+  for (const Lane& lane : lanes) {
+    REDSPOT_CHECK(lane.strategy != nullptr);
+    lane.strategy->use_model_pool(&pool);
+    engines.push_back(std::make_unique<Engine>(*market_, lane.experiment,
+                                               *lane.strategy, options_));
+    if (lane.observer != nullptr) engines.back()->add_observer(lane.observer);
   }
 
   BatchState state;
   state.resize(n);
+  std::vector<Money> bids;
+  bids.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     engines[i]->begin();
     state.next_time[i] = engines[i]->next_event_time();
+    bids.push_back(engines[i]->bid());
   }
+  pool.set_bid_grid(bids);
 
   // Lockstep, one *instant* at a time: every lane with an event at the
   // group's earliest time t drains its whole same-instant burst, in lane
@@ -92,6 +98,20 @@ std::vector<RunResult> BatchedSweepEngine::run(
 
   for (std::size_t i = 0; i < n; ++i) results[i] = engines[i]->finalize();
   return results;
+}
+
+std::vector<RunResult> BatchedSweepEngine::run(
+    std::span<const BatchConfig> configs) const {
+  std::vector<std::unique_ptr<Strategy>> strategies;
+  std::vector<Lane> lanes;
+  strategies.reserve(configs.size());
+  lanes.reserve(configs.size());
+  for (const BatchConfig& c : configs) {
+    strategies.push_back(std::make_unique<FixedStrategy>(
+        c.bid, c.zones, make_policy(c.policy)));
+    lanes.push_back(Lane{c.experiment, strategies.back().get(), c.observer});
+  }
+  return run_lanes(lanes);
 }
 
 }  // namespace redspot::batch

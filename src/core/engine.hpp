@@ -125,14 +125,6 @@ class Engine final : public EngineView,
   /// Seals and returns the result; requires finished(). Call once.
   RunResult finalize();
 
-  /// Routes min_observed_price() through a shared O(1) range-min index
-  /// over the market traces (bit-identical to the linear scan — see
-  /// trace/trace_index.hpp). The index must be built over this engine's
-  /// market and outlive the run. Call before begin()/run().
-  void set_shared_trace(const SharedTraceIndex* index) {
-    shared_trace_ = index;
-  }
-
   // --- EngineView ----------------------------------------------------------
   SimTime now() const override { return queue_.now(); }
   const Experiment& experiment() const override { return experiment_; }
@@ -265,7 +257,6 @@ class Engine final : public EngineView,
   Experiment experiment_;
   Strategy* strategy_;
   EngineOptions options_;
-  const SharedTraceIndex* shared_trace_ = nullptr;
 
   EventQueue queue_;
   Rng queue_rng_;

@@ -22,12 +22,10 @@ PriceView Engine::history(std::size_t zone) const {
 }
 
 Money Engine::min_observed_price(std::size_t zone) const {
-  // min over the view — no window materialization. Batched runs answer
-  // from the shared sparse-table index instead of the O(window) scan;
-  // exact integer minimum either way, so the two paths are bit-identical.
-  const PriceView h = history(zone);
-  if (shared_trace_ != nullptr) return shared_trace_->min_over(zone, h);
-  return h.min_price();
+  // Two table loads into the market's sparse-table index, built once per
+  // market on first use — the exact integer minimum PriceView::min_price
+  // scans for, with no window materialization.
+  return market_->trace_index().min_over(zone, history(zone));
 }
 
 Duration Engine::zone_progress(std::size_t zone) const {

@@ -125,8 +125,8 @@ class Policy {
     return true;
   }
 
-  /// Batched sweeps: route Markov fits through per-zone models shared
-  /// across the batch group's engines instead of private ones. Pooled
+  /// Lockstep groups: route Markov fits through per-zone models shared
+  /// across the group's engines instead of private ones. Pooled
   /// answers are bit-identical to private-model answers (see
   /// core/batch/model_pool.hpp), so this is purely a sharing knob. The
   /// pool must outlive the run; no-op for policies without models.

@@ -59,8 +59,14 @@ class Strategy {
   }
 
   /// True when reconsider() can return a change — lets the engine skip
-  /// scheduling decision events for fixed strategies.
+  /// scheduling decision events for fixed strategies. Dynamic lanes run
+  /// alone in the lockstep driver (batch::group_width).
   virtual bool dynamic() const { return false; }
+
+  /// Lockstep groups: route the strategy's Markov fits through the
+  /// group's shared per-zone models (see Policy::use_model_pool). No-op
+  /// for strategies that keep their own models, like Adaptive.
+  virtual void use_model_pool(batch::ZoneModelPool* pool) { (void)pool; }
 };
 
 /// A constant (bid, zones, policy) for the whole run.
@@ -72,6 +78,9 @@ class FixedStrategy final : public Strategy {
         config_{bid, std::move(zones), policy_.get()} {}
 
   EngineConfig initial(const EngineView&) override { return config_; }
+  void use_model_pool(batch::ZoneModelPool* pool) override {
+    policy_->use_model_pool(pool);
+  }
 
  private:
   std::unique_ptr<Policy> policy_;

@@ -99,7 +99,7 @@ EnsembleResult EnsembleRunner::run(ThreadPool& pool,
   // The executor owns shard semantics (compute, serialize, audit, fold).
   // This function only orchestrates: pick replay vs recompute per shard,
   // run shards on the pool, journal what was computed, reduce in order.
-  const ShardExecutor exec(spec_, run_options.batch_width);
+  const ShardExecutor exec(spec_);
 
   // Intact journal records addressing this exact spec and shard partition.
   // Anything that does not match — foreign spec_hash, stale shard bounds,

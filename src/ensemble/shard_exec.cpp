@@ -1,9 +1,9 @@
 #include "ensemble/shard_exec.hpp"
 
+#include <memory>
+
 #include "common/check.hpp"
-#include "common/parallel.hpp"
 #include "core/batch/batched_engine.hpp"
-#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "exp/scenario.hpp"
 #include "fault/audit_observer.hpp"
@@ -12,11 +12,9 @@
 
 namespace redspot {
 
-ShardExecutor::ShardExecutor(const EnsembleSpec& spec,
-                             std::size_t batch_width)
+ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
     : spec_(spec),
       spec_hash_(spec.spec_hash()),
-      batch_width_(batch_width),
       trace_template_(
           trimmed_spec(paper_trace_spec(0), window_end(spec.window))),
       seeder_(spec.seed),
@@ -27,16 +25,6 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec,
   const Scenario scenario{spec_.window, spec_.slack_fraction,
                           spec_.checkpoint_cost, spec_.starts_grid};
   starts_ = scenario.starts();
-  // Fixed-policy configs run through the batched lockstep engine when the
-  // engine options qualify; adaptive / large-bid lanes stay scalar.
-  if (batch_width_ >= 2 &&
-      batch::BatchedSweepEngine::can_batch(spec_.engine)) {
-    for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
-      if (spec_.configs[c].kind == EnsembleConfig::Kind::kFixedPolicy)
-        batchable_.push_back(c);
-    }
-    if (batchable_.size() < 2) batchable_.clear();
-  }
 }
 
 std::pair<std::size_t, std::size_t> ShardExecutor::bounds(
@@ -73,9 +61,7 @@ std::string ShardExecutor::compute(std::size_t s,
   const auto [lo, hi] = bounds(s);
   ShardRecordBuilder builder(spec_hash_, s, lo, hi,
                              static_cast<std::uint32_t>(num_configs()));
-  std::vector<RunResult> results(spec_.configs.size());
-  std::vector<char> is_batched(spec_.configs.size(), 0);
-  for (const std::size_t c : batchable_) is_batched[c] = 1;
+  const std::size_t configs = num_configs();
   for (std::size_t r = lo; r < hi; ++r) {
     // This replication's independent substreams.
     SyntheticTraceSpec trace_spec = trace_template_;
@@ -83,39 +69,33 @@ std::string ShardExecutor::compute(std::size_t s,
     const SpotMarket market(generate_traces(trace_spec), instance_,
                             QueueDelayModel());
     const Experiment experiment = make_experiment(r);
+    // One observer audits every lane: it acts only per finished result,
+    // so lane interleaving is invisible to it.
     AuditObserver audit_obs(experiment, instance_.on_demand_rate,
                             AuditMode::kFull, spec_.engine.regime);
-    // Fixed-policy lanes advance in lockstep over this replication's
-    // trace (bit-identical to the scalar runs below — the observer only
-    // acts per finished result, so lane interleaving is invisible to it).
-    if (!batchable_.empty()) {
-      const batch::BatchedSweepEngine batcher(market, spec_.engine);
-      for (std::size_t g = 0; g < batchable_.size(); g += batch_width_) {
-        const std::size_t end =
-            std::min(g + batch_width_, batchable_.size());
-        std::vector<batch::BatchConfig> lanes;
-        lanes.reserve(end - g);
-        for (std::size_t k = g; k < end; ++k) {
-          const EnsembleConfig& cfg = spec_.configs[batchable_[k]];
-          lanes.push_back(batch::BatchConfig{experiment, cfg.policy, cfg.bid,
-                                             cfg.zones, &audit_obs});
-        }
-        const std::vector<RunResult> runs = batcher.run(lanes);
-        for (std::size_t k = g; k < end; ++k)
-          results[batchable_[k]] = runs[k - g];
-      }
+    std::vector<std::unique_ptr<Strategy>> strategies;
+    std::vector<batch::Lane> lanes;
+    strategies.reserve(configs);
+    lanes.reserve(configs);
+    for (const EnsembleConfig& cfg : spec_.configs) {
+      strategies.push_back(cfg.make_strategy());
+      lanes.push_back(
+          batch::Lane{experiment, strategies.back().get(), &audit_obs});
     }
-    // Scalar lanes (adaptive, large-bid, or batching disabled), then the
-    // canonical add_run order: configs in index order, per replication.
-    for (std::size_t c = 0; c < spec_.configs.size(); ++c) {
-      if (is_batched[c] == 0) {
-        auto strategy = spec_.configs[c].make_strategy();
-        Engine engine(market, experiment, *strategy, spec_.engine);
-        engine.add_observer(&audit_obs);
-        results[c] = engine.run();
-      }
-      builder.add_run(results[c]);
+    // Every config is a lane over this replication's trace; results land
+    // in config order, the canonical add_run order.
+    const batch::BatchedSweepEngine batcher(market, spec_.engine);
+    std::vector<RunResult> results(configs);
+    for (const std::vector<std::size_t>& group :
+         batch::plan_groups(lanes, kDefaultBatchWidth)) {
+      std::vector<batch::Lane> group_lanes;
+      group_lanes.reserve(group.size());
+      for (const std::size_t c : group) group_lanes.push_back(lanes[c]);
+      std::vector<RunResult> runs = batcher.run_lanes(group_lanes);
+      for (std::size_t j = 0; j < group.size(); ++j)
+        results[group[j]] = std::move(runs[j]);
     }
+    for (const RunResult& run : results) builder.add_run(run);
     if (progress) progress(r - lo + 1);
   }
   return builder.payload();
@@ -135,7 +115,8 @@ bool ShardExecutor::audit(const EnsembleShardRecord& rec) const {
        r < static_cast<std::size_t>(rec.hi); ++r) {
     const RunResult* results =
         rec.runs.data() + (r - static_cast<std::size_t>(rec.lo)) * configs;
-    const RunValidator validator(make_experiment(r), instance_.on_demand_rate);
+    const RunValidator validator(make_experiment(r), instance_.on_demand_rate,
+                                 spec_.engine.regime);
     for (std::size_t c = 0; c < configs; ++c) {
       if (!validator.audit(results[c], AuditMode::kReplay).empty())
         return false;

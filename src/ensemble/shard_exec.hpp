@@ -38,16 +38,13 @@ namespace redspot {
 
 class ShardExecutor {
  public:
-  /// Default lanes per lockstep group when batching fixed-policy configs.
+  /// Most static lanes per lockstep group (core/batch plan_groups): each
+  /// replication runs its configs as lanes over its own market. Grouping
+  /// never affects results, so it is not part of spec_hash.
   static constexpr std::size_t kDefaultBatchWidth = 8;
 
-  /// `spec` must be validated and outlive the executor. `batch_width` is
-  /// the execution-only lockstep group size for the spec's fixed-policy
-  /// configs (core/batch): < 2 disables batching. It must never affect
-  /// results (batched lanes are bit-identical to scalar runs), so it is
-  /// deliberately NOT part of spec_hash.
-  explicit ShardExecutor(const EnsembleSpec& spec,
-                         std::size_t batch_width = kDefaultBatchWidth);
+  /// `spec` must be validated and outlive the executor.
+  explicit ShardExecutor(const EnsembleSpec& spec);
 
   const EnsembleSpec& spec() const { return spec_; }
   std::uint64_t spec_hash() const { return spec_hash_; }
@@ -99,10 +96,6 @@ class ShardExecutor {
 
   const EnsembleSpec& spec_;
   std::uint64_t spec_hash_;
-  std::size_t batch_width_;
-  /// Indices into spec_.configs eligible for the batched path (fixed
-  /// policies); empty when the engine options disqualify the spec.
-  std::vector<std::size_t> batchable_;
   std::vector<SimTime> starts_;
   SyntheticTraceSpec trace_template_;
   ReplicationSeeder seeder_;

@@ -20,78 +20,36 @@ namespace redspot {
 
 namespace {
 
-/// Most lanes per lockstep group on the fixed-policy fast path: wide
-/// enough to amortize the shared models across a group.
-constexpr std::size_t kSweepBatchWidth = 16;
+/// Most static lanes per lockstep group in a sweep: wide enough to
+/// amortize the shared models across a group.
+constexpr std::size_t kSweepGroupWidth = 16;
 
-/// Lanes per group for `pending` chunks: kSweepBatchWidth, narrowed so a
-/// small sweep still spreads over every pool thread. Results do not
+/// Static lanes per group for `pending` chunks: kSweepGroupWidth, narrowed
+/// so a small sweep still spreads over every pool thread. Results do not
 /// depend on the width (BatchedSweepEngine contract), only the speed does.
-std::size_t sweep_group_width(std::size_t pending) {
+std::size_t sweep_static_width(std::size_t pending) {
   const std::size_t threads = default_pool().size();  // at least 1
   const std::size_t per_thread = (pending + threads - 1) / threads;
-  return std::clamp<std::size_t>(per_thread, 1, kSweepBatchWidth);
+  return std::clamp<std::size_t>(per_thread, 1, kSweepGroupWidth);
 }
 
-/// Batched execution of the non-replayed chunks of a fixed-policy sweep:
-/// groups of sweep_group_width() lanes run in lockstep, each lane audited
-/// and journaled exactly as on the scalar path. Bit-identical to the
-/// scalar path by the BatchedSweepEngine contract.
-void run_chunks_batched(const SpotMarket& market, const Scenario& scenario,
-                        const EngineOptions& engine_options,
-                        const PolicyRunSpec& spec, std::uint64_t key,
-                        RunJournal* journal,
-                        const std::vector<std::size_t>& chunks,
-                        std::vector<RunResult>& results) {
-  const batch::BatchedSweepEngine batcher(market, engine_options);
-  const std::size_t width = sweep_group_width(chunks.size());
-  const std::size_t groups = (chunks.size() + width - 1) / width;
-  parallel_for(0, groups, [&](std::size_t g) {
-    const std::size_t lo = g * width;
-    const std::size_t hi = std::min(lo + width, chunks.size());
-    std::vector<batch::BatchConfig> configs;
-    std::vector<std::unique_ptr<AuditObserver>> audits;
-    configs.reserve(hi - lo);
-    audits.reserve(hi - lo);
-    for (std::size_t k = lo; k < hi; ++k) {
-      const Experiment experiment = scenario.experiment(chunks[k]);
-      audits.push_back(std::make_unique<AuditObserver>(
-          experiment, market.on_demand_rate(), AuditMode::kFull,
-          engine_options.regime));
-      configs.push_back(batch::BatchConfig{experiment, spec.policy, spec.bid,
-                                           spec.zones, audits.back().get()});
-    }
-    const std::vector<RunResult> runs = batcher.run(configs);
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t chunk = chunks[k];
-      results[chunk] = runs[k - lo];
-      if (journal != nullptr)
-        journal->append(encode_sweep_chunk(key, chunk, results[chunk]));
-    }
-  });
-}
-
-/// Runs one simulation per chunk in parallel via `make_strategy`, which is
-/// invoked once per run (strategies are stateful and not shareable). Every
-/// result is audited against the run invariants before it is returned, so
-/// a broken guarantee surfaces at the sweep instead of skewing a figure.
+/// Runs one simulation per chunk, each a lane of the lockstep driver
+/// (core/batch) with its own strategy from `make_strategy` (strategies are
+/// stateful and not shareable); groups of batch::group_width lanes run in
+/// parallel. Every result is audited against the run invariants before it
+/// is returned, so a broken guarantee surfaces at the sweep instead of
+/// skewing a figure.
 ///
 /// `key` fingerprints this sweep for the journal: with a durability
 /// journal attached, chunks found under `key` (checksum-intact, passing
 /// the kReplay audit) are taken from the journal, and computed chunks are
 /// appended under `key` once they pass the full audit.
-///
-/// `batch_spec` non-null marks a homogeneous fixed-policy sweep: chunk
-/// groups dispatch to the batched lockstep engine when the options
-/// qualify (no faults); everything else — adaptive, large-bid, faulted —
-/// keeps the scalar per-chunk path.
 template <typename MakeStrategy>
 std::vector<RunResult> run_sweep(const SpotMarket& market,
                                  const Scenario& scenario,
                                  const EngineOptions& engine_options,
                                  std::uint64_t key,
                                  SweepDurability* durability,
-                                 const PolicyRunSpec* batch_spec,
                                  MakeStrategy make_strategy) {
   const std::size_t n = scenario.num_experiments;
   std::vector<RunResult> results(n);
@@ -121,24 +79,41 @@ std::vector<RunResult> run_sweep(const SpotMarket& market,
   pending.reserve(n);
   for (std::size_t i = 0; i < n; ++i)
     if (replayed[i] == 0) pending.push_back(i);
-  if (batch_spec != nullptr && pending.size() > 1 &&
-      batch::BatchedSweepEngine::can_batch(engine_options)) {
-    run_chunks_batched(market, scenario, engine_options, *batch_spec, key,
-                       journal, pending, results);
-  } else {
-    parallel_for(0, pending.size(), [&](std::size_t p) {
-      const std::size_t i = pending[p];
-      const Experiment experiment = scenario.experiment(i);
-      auto strategy = make_strategy(i);
-      Engine engine(market, experiment, *strategy, engine_options);
-      AuditObserver audit(experiment, market.on_demand_rate(),
-                          AuditMode::kFull, engine_options.regime);
-      engine.add_observer(&audit);
-      results[i] = engine.run();
+  // A sweep runs one kind of strategy; one instance tells the width rule
+  // which.
+  const std::size_t width = batch::group_width(
+      *make_strategy(), sweep_static_width(pending.size()));
+  const std::size_t groups = (pending.size() + width - 1) / width;
+  const batch::BatchedSweepEngine batcher(market, engine_options);
+  parallel_for(0, groups, [&](std::size_t g) {
+    const std::size_t lo = g * width;
+    const std::size_t hi = std::min(lo + width, pending.size());
+    // Strategies are built here, on the thread that runs them: built up
+    // front on the caller's thread, Adaptive sweeps ran ~10% slower on
+    // the paper-repro benchmark.
+    std::vector<std::unique_ptr<Strategy>> strategies;
+    std::vector<std::unique_ptr<AuditObserver>> audits;
+    std::vector<batch::Lane> lanes;
+    strategies.reserve(hi - lo);
+    audits.reserve(hi - lo);
+    lanes.reserve(hi - lo);
+    for (std::size_t k = lo; k < hi; ++k) {
+      const Experiment experiment = scenario.experiment(pending[k]);
+      strategies.push_back(make_strategy());
+      audits.push_back(std::make_unique<AuditObserver>(
+          experiment, market.on_demand_rate(), AuditMode::kFull,
+          engine_options.regime));
+      lanes.push_back(batch::Lane{experiment, strategies.back().get(),
+                                  audits.back().get()});
+    }
+    std::vector<RunResult> runs = batcher.run_lanes(lanes);
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t chunk = pending[k];
+      results[chunk] = std::move(runs[k - lo]);
       if (journal != nullptr)
-        journal->append(encode_sweep_chunk(key, i, results[i]));
-    });
-  }
+        journal->append(encode_sweep_chunk(key, chunk, results[chunk]));
+    }
+  });
   if (durability != nullptr) {
     const std::size_t hits = static_cast<std::size_t>(
         std::count(replayed.begin(), replayed.end(), char{1}));
@@ -176,7 +151,7 @@ std::vector<RunResult> run_fixed_sweep(const SpotMarket& market,
   h.u64(spec.zones.size());
   for (const std::size_t z : spec.zones) h.u64(z);
   return run_sweep(market, scenario, engine_options, h.digest(), durability,
-                   &spec, [&spec](std::size_t) {
+                   [&spec] {
     return std::make_unique<FixedStrategy>(spec.bid, spec.zones,
                                            make_policy(spec.policy));
   });
@@ -200,7 +175,7 @@ std::vector<RunResult> run_adaptive_sweep(
   h.i64(static_cast<std::int64_t>(options.mean_queue_delay));
   h.u64(options.charge_switch_penalty ? 1 : 0);
   return run_sweep(market, scenario, engine_options, h.digest(), durability,
-                   nullptr, [&options](std::size_t) {
+                   [&options] {
     return std::make_unique<AdaptiveStrategy>(options);
   });
 }
@@ -217,7 +192,7 @@ std::vector<RunResult> run_large_bid_sweep(const SpotMarket& market,
   h.i64(threshold.micros());
   h.u64(zone);
   return run_sweep(market, scenario, engine_options, h.digest(), durability,
-                   nullptr, [threshold, zone](std::size_t) {
+                   [threshold, zone] {
     return std::make_unique<FixedStrategy>(
         LargeBidPolicy::large_bid(), std::vector<std::size_t>{zone},
         std::make_unique<LargeBidPolicy>(threshold));

@@ -23,6 +23,7 @@
 
 #include "common/parallel.hpp"
 #include "common/random.hpp"
+#include "core/adaptive/adaptive_runner.hpp"
 #include "core/batch/batch_state.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/strategy.hpp"
@@ -39,29 +40,7 @@ using batch::BatchState;
 
 // --- SoA kernels -------------------------------------------------------------
 
-TEST(BatchKernels, ArgminPicksEarliestLaneLowestIndexOnTies) {
-  BatchState state;
-  state.next_time = {50, 20, 80, 20};
-  EXPECT_EQ(batch::argmin_next(state), 1u);
-  EXPECT_EQ(batch::min_next(state), 20);
-
-  state.next_time = {kNever, 7, 7, kNever};
-  EXPECT_EQ(batch::argmin_next(state), 1u);
-  EXPECT_EQ(batch::min_next(state), 7);
-}
-
-TEST(BatchKernels, ArgminAllFinishedLanes) {
-  BatchState state;
-  state.next_time = {kNever, kNever, kNever};
-  EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-  EXPECT_EQ(batch::min_next(state), kNever);
-
-  state.resize(0);
-  EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-  EXPECT_EQ(batch::min_next(state), kNever);
-}
-
-TEST(BatchKernels, ArgminMatchesStdMinElementOnRandomArrays) {
+TEST(BatchKernels, MinNextMatchesStdMinElementOnRandomArrays) {
   Rng rng(7001);
   for (int trial = 0; trial < 200; ++trial) {
     BatchState state;
@@ -72,19 +51,12 @@ TEST(BatchKernels, ArgminMatchesStdMinElementOnRandomArrays) {
           rng.bernoulli(0.2) ? kNever
                              : static_cast<SimTime>(rng.uniform_index(12)));
     }
-    const auto it =
-        std::min_element(state.next_time.begin(), state.next_time.end());
-    EXPECT_EQ(batch::min_next(state), *it);
-    if (*it == kNever) {
-      EXPECT_EQ(batch::argmin_next(state), SIZE_MAX);
-    } else {
-      // min_element returns the FIRST minimum: the same lowest-index
-      // tie rule the kernel implements.
-      EXPECT_EQ(batch::argmin_next(state),
-                static_cast<std::size_t>(
-                    std::distance(state.next_time.begin(), it)));
-    }
+    EXPECT_EQ(batch::min_next(state),
+              *std::min_element(state.next_time.begin(),
+                                state.next_time.end()));
   }
+  BatchState state;
+  EXPECT_EQ(batch::min_next(state), kNever);  // no lanes at all
 }
 
 TEST(BatchKernels, MapAliveStatesMatchesModelMaxAliveState) {
@@ -264,11 +236,25 @@ TEST(BatchedSweep, EdgeGroups) {
   }
 }
 
-TEST(BatchedSweep, CanBatchRejectsFaultedOptions) {
-  EXPECT_TRUE(BatchedSweepEngine::can_batch(EngineOptions{}));
-  EngineOptions faulted;
-  faulted.faults.restart_failure_rate = 0.1;
-  EXPECT_FALSE(BatchedSweepEngine::can_batch(faulted));
+// The width rule: static lanes pack in index order up to the static
+// width, every dynamic (Adaptive) lane is a group of its own.
+TEST(BatchedSweep, PlanGroupsRunsDynamicLanesAlone) {
+  FixedStrategy fixed(Money::cents(81), {0},
+                      make_policy(PolicyKind::kPeriodic));
+  AdaptiveStrategy adaptive;
+  const Experiment e = testing::small_experiment(1.0, 0.5, 5 * kMinute);
+  EXPECT_EQ(batch::group_width(fixed, 16), 16u);
+  EXPECT_EQ(batch::group_width(adaptive, 16), 1u);
+  const batch::Lane s{e, &fixed};
+  const batch::Lane d{e, &adaptive};
+  const std::vector<batch::Lane> lanes = {s, d, s, s, d, s, s};
+  using Groups = std::vector<std::vector<std::size_t>>;
+  EXPECT_EQ(batch::plan_groups(lanes, 2),
+            (Groups{{1}, {0, 2}, {4}, {3, 5}, {6}}));
+  EXPECT_EQ(batch::plan_groups(lanes, 8), (Groups{{1}, {4}, {0, 2, 3, 5, 6}}));
+  EXPECT_EQ(batch::plan_groups(lanes, 1),
+            (Groups{{0}, {1}, {2}, {3}, {4}, {5}, {6}}));
+  EXPECT_TRUE(batch::plan_groups({}, 4).empty());
 }
 
 // One immutable BatchedSweepEngine serving many concurrent run() calls:

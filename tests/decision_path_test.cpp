@@ -514,6 +514,9 @@ TEST(EngineHistory, MinObservedPriceIsAllocationFree) {
                          make_policy(PolicyKind::kThreshold));
   Engine engine(market, experiment, strategy);
 
+  // The market's range-min index is built once, on first use; the
+  // per-decision query after that must not allocate.
+  market.trace_index();
   Money min = Money::dollars(0);
   {
     AllocCounter allocs;

@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,8 +20,12 @@
 #include "ensemble/cache.hpp"
 #include "ensemble/runner.hpp"
 #include "ensemble/seeder.hpp"
+#include "ensemble/shard_exec.hpp"
 #include "ensemble/streaming.hpp"
 #include "exp/scenario.hpp"
+#include "journal/run_record.hpp"
+#include "market/instance_type.hpp"
+#include "market/spot_market.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/streaming.hpp"
 #include "trace/synthetic.hpp"
@@ -393,6 +399,103 @@ TEST(EnsembleConfigTest, LabelsAreDerivedOrExplicit) {
   EXPECT_FALSE(c.display_label().empty());
   c.label = "custom";
   EXPECT_EQ(c.display_label(), "custom");
+}
+
+// ---------------------------------------------------------- ShardExecutor --
+
+/// The record ShardExecutor::compute(s) must produce, built from one
+/// scalar Engine::run per (replication, config) over the same
+/// per-replication market and experiment the executor derives.
+std::string scalar_shard_record(const EnsembleSpec& spec, std::size_t s) {
+  const auto [lo, hi] = shard_bounds(spec.replications, spec.num_shards, s);
+  const ReplicationSeeder seeder(spec.seed);
+  const std::vector<SimTime> starts =
+      Scenario{spec.window, spec.slack_fraction, spec.checkpoint_cost,
+               spec.starts_grid}
+          .starts();
+  ShardRecordBuilder builder(spec.spec_hash(), s, lo, hi,
+                             static_cast<std::uint32_t>(spec.configs.size()));
+  for (std::size_t r = lo; r < hi; ++r) {
+    SyntheticTraceSpec trace_spec =
+        trimmed_spec(paper_trace_spec(0), window_end(spec.window));
+    trace_spec.seed = seeder.seed(r, SeedDomain::kTrace);
+    const SpotMarket market(generate_traces(trace_spec), cc2_instance(),
+                            QueueDelayModel());
+    const Experiment experiment = Experiment::paper(
+        starts[r % starts.size()], spec.slack_fraction, spec.checkpoint_cost,
+        seeder.seed(r, SeedDomain::kQueueDelay));
+    for (const EnsembleConfig& config : spec.configs) {
+      const std::unique_ptr<Strategy> strategy = config.make_strategy();
+      builder.add_run(Engine(market, experiment, *strategy, spec.engine).run());
+    }
+  }
+  return builder.payload();
+}
+
+// Fixed, Adaptive and large-bid configs share each replication as lanes
+// of the lockstep driver (Adaptive alone, the rest grouped) under a
+// non-zero fault plan; the shard record must equal per-config scalar runs.
+TEST(ShardExecutorTest, MixedKindsUnderFaultsMatchScalarRuns) {
+  EnsembleSpec spec = small_spec();
+  spec.replications = 3;
+  spec.num_shards = 2;
+  spec.engine.faults.ckpt_write_failure_rate = 0.2;
+  spec.engine.faults.restart_failure_rate = 0.2;
+  spec.engine.faults.request_rejection_rate = 0.2;
+  EnsembleConfig markov;
+  markov.policy = PolicyKind::kMarkovDaly;
+  markov.zones = {0, 1, 2};
+  EnsembleConfig adaptive;
+  adaptive.kind = EnsembleConfig::Kind::kAdaptive;
+  EnsembleConfig large_bid;
+  large_bid.kind = EnsembleConfig::Kind::kLargeBid;
+  large_bid.zones = {2};
+  spec.configs.insert(spec.configs.begin() + 1, adaptive);
+  spec.configs.push_back(markov);
+  spec.configs.push_back(large_bid);
+  spec.min_groups = {{"best fixed", {0, 2, 3}}};
+  spec.validate();
+
+  const ShardExecutor exec(spec);
+  bool any_fault = false;
+  for (std::size_t s = 0; s < exec.num_shards(); ++s) {
+    const std::string payload = exec.compute(s);
+    EXPECT_EQ(payload, scalar_shard_record(spec, s)) << "shard " << s;
+    const std::optional<EnsembleShardRecord> rec =
+        decode_ensemble_shard(payload);
+    ASSERT_TRUE(rec.has_value());
+    EXPECT_TRUE(exec.audit(*rec));
+    for (const RunResult& run : rec->runs) any_fault |= run.faults.any();
+  }
+  EXPECT_TRUE(any_fault) << "the fault plan never fired";
+}
+
+// The replay audit checks a record under the spec's own regime: a
+// per-second shard whose on-demand tail is not a whole number of hours
+// is sound, and must not be rejected (and recomputed, or dropped by the
+// fabric coordinator) as if it were billed hourly.
+TEST(ShardExecutorTest, ReplayAuditUsesTheSpecRegime) {
+  EnsembleSpec spec = small_spec();
+  spec.replications = 2;
+  spec.num_shards = 1;
+  spec.engine.regime = MarketRegime::per_second();
+  // Slack to commit checkpoints before the deadline switch, so what is
+  // left for on-demand is not a whole number of hours.
+  spec.slack_fraction = 0.5;
+  spec.validate();
+
+  const ShardExecutor exec(spec);
+  const std::optional<EnsembleShardRecord> rec =
+      decode_ensemble_shard(exec.compute(0));
+  ASSERT_TRUE(rec.has_value());
+  ASSERT_TRUE(exec.matches(*rec));
+  bool partial_hour = false;
+  for (const RunResult& run : rec->runs) {
+    partial_hour |= run.switched_to_on_demand &&
+                    run.on_demand_seconds % kHour != 0;
+  }
+  ASSERT_TRUE(partial_hour) << "no run exercises per-second on-demand billing";
+  EXPECT_TRUE(exec.audit(*rec));
 }
 
 // ------------------------------------------------------------- LRU cache --

@@ -2,9 +2,11 @@
 // report formatting.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/policies/large_bid.hpp"
 #include "core/strategy.hpp"
 #include "exp/report.hpp"
 #include "exp/scenario.hpp"
@@ -136,6 +138,13 @@ void expect_same_run(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.switched_to_on_demand, b.switched_to_on_demand);
   EXPECT_EQ(a.config_changes, b.config_changes);
   EXPECT_EQ(a.committed_progress, b.committed_progress);
+  EXPECT_EQ(a.faults.ckpt_write_failures, b.faults.ckpt_write_failures);
+  EXPECT_EQ(a.faults.ckpt_corruptions, b.faults.ckpt_corruptions);
+  EXPECT_EQ(a.faults.restart_failures, b.faults.restart_failures);
+  EXPECT_EQ(a.faults.request_rejections, b.faults.request_rejections);
+  EXPECT_EQ(a.faults.notices_dropped, b.faults.notices_dropped);
+  EXPECT_EQ(a.faults.notices_late, b.faults.notices_late);
+  EXPECT_EQ(a.faults.backoff_total, b.faults.backoff_total);
   ASSERT_EQ(a.checkpoint_log.size(), b.checkpoint_log.size());
   for (std::size_t i = 0; i < a.checkpoint_log.size(); ++i) {
     EXPECT_EQ(a.checkpoint_log[i].committed_at,
@@ -160,36 +169,83 @@ void expect_same_run(const RunResult& a, const RunResult& b,
   }
 }
 
-// Small sweeps split into narrower lockstep groups so they spread over
-// the pool: the chunk counts cover one-lane groups, a remainder group and
-// the full 16-lane width. Whatever the grouping, every chunk must match a
-// scalar run of the same chunk exactly, timeline and line items included.
+/// Every chunk of `swept` must equal a scalar Engine::run of the same
+/// chunk with a fresh strategy from `make_strategy`. Returns how many of
+/// the runs saw an injected fault.
+template <typename MakeStrategy>
+int expect_matches_scalar(const SpotMarket& market, const Scenario& scenario,
+                          const EngineOptions& options,
+                          const std::vector<RunResult>& swept,
+                          MakeStrategy make_strategy,
+                          const std::string& label) {
+  EXPECT_EQ(swept.size(), scenario.num_experiments) << label;
+  int faulted = 0;
+  for (std::size_t i = 0; i < swept.size(); ++i) {
+    const auto strategy = make_strategy();
+    Engine engine(market, scenario.experiment(i), *strategy, options);
+    expect_same_run(swept[i], engine.run(),
+                    label + " chunk " + std::to_string(i));
+    faulted += swept[i].faults.any() ? 1 : 0;
+  }
+  return faulted;
+}
+
+// Every sweep runs its chunks as lanes of the lockstep driver. Small
+// sweeps split into narrower groups so they spread over the pool: the
+// chunk counts cover one-lane groups, a remainder group and the full
+// 16-lane width. Adaptive lanes run alone and large-bid lanes group like
+// fixed ones, with and without injected faults. Whatever the grouping,
+// every chunk must match a scalar run of the same chunk exactly —
+// timeline, line items and fault stats included.
 TEST(Sweep, SmallSweepGroupingMatchesScalarRuns) {
   const SpotMarket market(paper_traces(3), cc2_instance(),
                           QueueDelayModel(QueueDelayParams::fixed(200)));
-  EngineOptions options;
-  options.record_timeline = true;
-  options.record_line_items = true;
+  EngineOptions plain;
+  plain.record_timeline = true;
+  plain.record_line_items = true;
+  EngineOptions faulted = plain;
+  faulted.faults.ckpt_write_failure_rate = 0.2;
+  faulted.faults.ckpt_corruption_rate = 0.1;
+  faulted.faults.restart_failure_rate = 0.2;
+  faulted.faults.request_rejection_rate = 0.2;
   const PolicyRunSpec specs[] = {
       {PolicyKind::kThreshold, Money::cents(81), {1}},
       {PolicyKind::kMarkovDaly, Money::cents(81), {0, 1, 2}}};
   const std::size_t kChunkCounts[] = {2, 3, 5, 16, 17, 33};
-  for (const std::size_t chunks : kChunkCounts) {
-    const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, chunks};
-    for (const PolicyRunSpec& spec : specs) {
-      const std::vector<RunResult> swept =
-          run_fixed_sweep(market, scenario, spec, options);
-      ASSERT_EQ(swept.size(), chunks);
-      for (std::size_t i = 0; i < chunks; ++i) {
-        FixedStrategy strategy(spec.bid, spec.zones, make_policy(spec.policy));
-        Engine engine(market, scenario.experiment(i), strategy, options);
-        expect_same_run(swept[i], engine.run(),
-                        to_string(spec.policy) + " chunks=" +
-                            std::to_string(chunks) + " chunk " +
-                            std::to_string(i));
+  int faulted_runs = 0;
+  for (const EngineOptions& options : {plain, faulted}) {
+    const std::string mode = options.faults.enabled() ? " faulted" : "";
+    for (const std::size_t chunks : kChunkCounts) {
+      const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, chunks};
+      for (const PolicyRunSpec& spec : specs) {
+        faulted_runs += expect_matches_scalar(
+            market, scenario, options,
+            run_fixed_sweep(market, scenario, spec, options),
+            [&spec] {
+              return std::make_unique<FixedStrategy>(
+                  spec.bid, spec.zones, make_policy(spec.policy));
+            },
+            to_string(spec.policy) + mode + " chunks=" +
+                std::to_string(chunks));
       }
     }
+    const Scenario scenario{VolatilityWindow::kHigh, 0.15, 300, 5};
+    faulted_runs += expect_matches_scalar(
+        market, scenario, options,
+        run_adaptive_sweep(market, scenario, {}, options),
+        [] { return std::make_unique<AdaptiveStrategy>(); },
+        "adaptive" + mode);
+    faulted_runs += expect_matches_scalar(
+        market, scenario, options,
+        run_large_bid_sweep(market, scenario, Money::cents(81), 1, options),
+        [] {
+          return std::make_unique<FixedStrategy>(
+              LargeBidPolicy::large_bid(), std::vector<std::size_t>{1},
+              std::make_unique<LargeBidPolicy>(Money::cents(81)));
+        },
+        "large-bid" + mode);
   }
+  EXPECT_GT(faulted_runs, 0) << "the fault plan never fired";
 }
 
 TEST(Report, BoxplotTableContainsEverything) {

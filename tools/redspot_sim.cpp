@@ -1,8 +1,9 @@
 // redspot_sim — command-line front end for the simulator.
 //
 // Runs one policy configuration (or Adaptive, or Large-bid) over a
-// scenario sweep and prints the cost distribution, or a single run with
-// its full timeline.
+// scenario sweep — the audited, parallel exp/ sweep the figure benches
+// use — and prints the cost distribution, or a single run with its full
+// timeline.
 //
 //   redspot_sim [options]
 //     --window low|high          volatility window        [high]
@@ -12,7 +13,8 @@
 //                                threshold|adaptive|large-bid  [adaptive]
 //     --bid DOLLARS              bid price (fixed policies)    [0.81]
 //     --threshold DOLLARS        L for large-bid               [0.81]
-//     --zones LIST               e.g. 0,1,2 (fixed policies)   [0]
+//     --zones LIST               e.g. 0,1,2 (fixed policies;
+//                                one zone for large-bid sweeps) [0]
 //     --experiments N            sweep size; 1 = single run    [20]
 //     --chunk I                  chunk index for a single run  [0]
 //     --seed S                   trace generator seed          [42]
@@ -153,6 +155,16 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// The fixed policy --policy names (anything but adaptive / large-bid).
+PolicyKind fixed_policy(const std::string& name) {
+  for (PolicyKind kind :
+       {PolicyKind::kPeriodic, PolicyKind::kMarkovDaly,
+        PolicyKind::kRisingEdge, PolicyKind::kThreshold}) {
+    if (name == to_string(kind)) return kind;
+  }
+  usage(("unknown policy " + name).c_str());
+}
+
 std::unique_ptr<Strategy> make_strategy(const Args& a) {
   if (a.policy == "adaptive") return std::make_unique<AdaptiveStrategy>();
   if (a.policy == "large-bid") {
@@ -160,14 +172,8 @@ std::unique_ptr<Strategy> make_strategy(const Args& a) {
         LargeBidPolicy::large_bid(), a.zones,
         std::make_unique<LargeBidPolicy>(a.threshold));
   }
-  for (PolicyKind kind :
-       {PolicyKind::kPeriodic, PolicyKind::kMarkovDaly,
-        PolicyKind::kRisingEdge, PolicyKind::kThreshold}) {
-    if (a.policy == to_string(kind))
-      return std::make_unique<FixedStrategy>(a.bid, a.zones,
-                                             make_policy(kind));
-  }
-  usage(("unknown policy " + a.policy).c_str());
+  return std::make_unique<FixedStrategy>(a.bid, a.zones,
+                                         make_policy(fixed_policy(a.policy)));
 }
 
 void print_run(const RunResult& r, bool timeline) {
@@ -271,17 +277,23 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::vector<double> costs(scenario.num_experiments);
-  std::vector<RunResult> results(scenario.num_experiments);
-  for (std::size_t i = 0; i < scenario.num_experiments; ++i) {
-    auto strategy = make_strategy(args);
-    EngineOptions options;
-    options.termination_notice = args.notice;
-    Engine engine(market, scenario.experiment(i), *strategy, options);
-    results[i] = engine.run();
-    costs[i] = results[i].total_cost.to_double();
+  EngineOptions options;
+  options.termination_notice = args.notice;
+  std::vector<RunResult> results;
+  if (args.policy == "adaptive") {
+    results = run_adaptive_sweep(market, scenario, {}, options);
+  } else if (args.policy == "large-bid") {
+    if (args.zones.size() != 1)
+      usage("--policy large-bid sweeps take one --zones entry");
+    results = run_large_bid_sweep(market, scenario, args.threshold,
+                                  args.zones[0], options);
+  } else {
+    results = run_fixed_sweep(
+        market, scenario,
+        PolicyRunSpec{fixed_policy(args.policy), args.bid, args.zones},
+        options);
   }
-  const BoxRow row = make_box_row(args.policy, costs);
+  const BoxRow row = make_box_row(args.policy, costs_of(results));
   std::fputs(boxplot_table("redspot_sim — " + scenario.label(),
                            std::vector<BoxRow>{row}, Money::dollars(48.0),
                            Money::dollars(5.40))
