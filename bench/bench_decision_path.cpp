@@ -11,7 +11,9 @@
 //                         uptime) vs build_markov_model from scratch +
 //                         free expected_uptime, in unique-price AND
 //                         quantile-binned mode.
-//   3. adaptive re-plan — HistoryStats::advance vs fresh construction.
+//   3. adaptive re-plan — HistoryStats::advance vs fresh construction,
+//                         plus a whole Adaptive decision (advance +
+//                         evaluate_permutations over the paper's grid).
 //   4. fig4 mini-sweep  — end-to-end engine runs (Threshold + Markov-Daly,
 //                         3 bids, several starts) under the real policies
 //                         vs bench-local legacy policies that reproduce the
@@ -45,6 +47,8 @@
 #include "ckpt/daly.hpp"
 #include "common/check.hpp"
 #include "common/random.hpp"
+#include "core/adaptive/adaptive_runner.hpp"
+#include "core/adaptive/estimator.hpp"
 #include "core/adaptive/history_stats.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/engine.hpp"
@@ -455,6 +459,25 @@ int main(int argc, char** argv) {
     report.set("adaptive_advance_ns", adv_ns);
     report.set("adaptive_fresh_ns", fresh_ns);
     report.set("adaptive_replan_speedup", fresh_ns / adv_ns);
+
+    // One whole decision as AdaptiveStrategy makes it: slide the window,
+    // then rank bid grid x every subset of the 3 zones x both policies.
+    HistoryStats decide(traces, f0, t0, paper_bid_grid());
+    const std::vector<PolicyKind> policies = {PolicyKind::kPeriodic,
+                                              PolicyKind::kMarkovDaly};
+    EstimatorInputs in;
+    in.remaining_compute = 16 * kHour;
+    in.remaining_time = 24 * kHour;
+    in.current_prices = {0.27, 0.40, 0.81};
+    const int decision_iters = quick ? 300 : 1500;
+    const double decision_ns = median_ns(reps, decision_iters, [&](int i) {
+      const auto [from, to] = bounds(i);
+      decide.advance(traces, from, to);
+      const std::vector<PermutationEstimate> ranked =
+          evaluate_permutations(decide, 3, policies, in);
+      g_sink += ranked.front().predicted_cost.micros();
+    });
+    report.set("adaptive_decision_ns", decision_ns);
   }
 
   // --- 4. fig4 mini-sweep: real policies vs legacy materialize+rebuild ------

@@ -50,6 +50,14 @@ void set_nonblocking(int fd, const std::string& what) {
   }
 }
 
+/// Request/response frames are latency-bound, not throughput-bound: never
+/// let Nagle hold a 50-byte heartbeat (or a reply) hostage. Both ends of a
+/// TCP stream need it — the dialer and the accepted socket.
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 /// A connected socket: identical code for unix and TCP — the transport
 /// differences live entirely in address setup.
 class FdStream final : public Stream {
@@ -110,6 +118,7 @@ class FdListener final : public Listener {
         return nullptr;
       fail("accept");
     }
+    if (bound_.kind == Endpoint::Kind::kTcp) set_nodelay(fd);
     // Accepted fds stay blocking (Linux does not inherit O_NONBLOCK),
     // which is what the frame send/read helpers expect.
     return std::make_unique<FdStream>(fd);
@@ -224,12 +233,7 @@ std::unique_ptr<Stream> connect(const Endpoint& ep) {
     } while (rc < 0 && errno == EINTR);
   }
   if (rc == 0) {
-    if (ep.kind == Endpoint::Kind::kTcp) {
-      // Request/response frames are latency-bound, not throughput-bound:
-      // never let Nagle hold a 50-byte heartbeat hostage.
-      const int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
+    if (ep.kind == Endpoint::Kind::kTcp) set_nodelay(fd);
     return std::make_unique<FdStream>(fd);
   }
   const int saved = errno;

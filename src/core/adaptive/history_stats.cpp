@@ -61,6 +61,7 @@ void HistoryStats::rebuild(const ZoneTraceSet& traces, SimTime from,
   const std::size_t nbids = bid_grid_.size();
   counters_.assign(base_.size(), std::vector<BidCounters>(nbids));
   first_cut_.assign(base_.size(), 0);
+  stats_.assign(base_.size(), std::vector<ZoneBidStats>(nbids));
   for (std::size_t z = 0; z < base_.size(); ++z) {
     std::vector<BidCounters>& row = counters_[z];
     std::size_t prev_cut = 0;
@@ -104,6 +105,7 @@ bool HistoryStats::try_advance(const ZoneTraceSet& traces, SimTime from,
   const std::size_t lo = s0.index_of(from);
   const std::size_t hi =
       static_cast<std::size_t>((to - s0.start() + step_ - 1) / step_);
+  const std::size_t old_lo = abs_lo_;
   const std::size_t old_hi = abs_lo_ + n_;
   if (lo < abs_lo_ || hi < old_hi) return false;  // backward move
   if (lo >= old_hi) return false;                 // no overlap
@@ -152,7 +154,7 @@ bool HistoryStats::try_advance(const ZoneTraceSet& traces, SimTime from,
   series_size_ = s0.size();
   window_length_ = static_cast<Duration>(n_) * step_;
   refresh_stats();
-  combined_memo_.clear();
+  for (CombinedEntry& e : combined_memo_) slide_combined(e, old_lo, old_hi);
   ++incremental_advances_;
   return true;
 }
@@ -165,7 +167,6 @@ void HistoryStats::advance(const ZoneTraceSet& traces, SimTime from,
 void HistoryStats::refresh_stats() {
   const std::size_t nbids = bid_grid_.size();
   const double h = hours();
-  stats_.assign(base_.size(), std::vector<ZoneBidStats>(nbids));
   for (std::size_t z = 0; z < base_.size(); ++z) {
     for (std::size_t k = 0; k < nbids; ++k) {
       const BidCounters& c = counters_[z][k];
@@ -196,34 +197,68 @@ const ZoneBidStats& HistoryStats::stats(std::size_t zone,
   return stats_[zone][bid_idx];
 }
 
-void HistoryStats::fill_combined(std::uint64_t mask,
-                                 const std::vector<std::size_t>& zones,
-                                 CombinedEntry& out) const {
+std::size_t HistoryStats::subset_cut(const CombinedEntry& e,
+                                     std::size_t abs_i) const {
+  double m = sample_dollars(e.zones[0], abs_i);
+  for (std::size_t j = 1; j < e.zones.size(); ++j)
+    m = std::min(m, sample_dollars(e.zones[j], abs_i));
+  return cut_of(m);
+}
+
+void HistoryStats::fill_combined(CombinedEntry& e) const {
   const std::size_t nbids = bid_grid_.size();
-  out.mask = mask;
-  std::vector<std::int64_t> up(nbids, 0);
-  std::vector<std::int64_t> outages(nbids, 0);
+  e.up.assign(nbids, 0);
+  e.outages.assign(nbids, 0);
   std::size_t prev_cut = 0;
   for (std::size_t i = 0; i < n_; ++i) {
-    // Any zone up at bid B <=> the cheapest subset zone is within B.
-    double m = sample_dollars(zones[0], abs_lo_ + i);
-    for (std::size_t j = 1; j < zones.size(); ++j)
-      m = std::min(m, sample_dollars(zones[j], abs_lo_ + i));
-    const std::size_t cut = cut_of(m);
-    for (std::size_t k = cut; k < nbids; ++k) ++up[k];
+    const std::size_t cut = subset_cut(e, abs_lo_ + i);
+    for (std::size_t k = cut; k < nbids; ++k) ++e.up[k];
     if (i > 0 && cut > prev_cut) {  // any-up -> none-up
-      for (std::size_t k = prev_cut; k < cut; ++k) ++outages[k];
+      for (std::size_t k = prev_cut; k < cut; ++k) ++e.outages[k];
     }
     prev_cut = cut;
   }
+  finish_combined(e);
+}
+
+void HistoryStats::slide_combined(CombinedEntry& e, std::size_t old_lo,
+                                  std::size_t old_hi) const {
+  // Same pair rule as the per-zone interrupts: evicting sample i removes
+  // the pair (i, i+1), appending sample i adds the pair (i-1, i). The
+  // windows overlap, so both ends of every pair are in storage.
+  const std::size_t nbids = bid_grid_.size();
+  if (old_lo < abs_lo_) {
+    std::size_t cut = subset_cut(e, old_lo);
+    for (std::size_t i = old_lo; i < abs_lo_; ++i) {
+      const std::size_t next_cut = subset_cut(e, i + 1);
+      for (std::size_t k = cut; k < nbids; ++k) --e.up[k];
+      for (std::size_t k = cut; k < next_cut; ++k) --e.outages[k];
+      cut = next_cut;
+    }
+  }
+  const std::size_t hi = abs_lo_ + n_;
+  if (old_hi < hi) {
+    std::size_t prev_cut = subset_cut(e, old_hi - 1);
+    for (std::size_t i = old_hi; i < hi; ++i) {
+      const std::size_t cut = subset_cut(e, i);
+      for (std::size_t k = cut; k < nbids; ++k) ++e.up[k];
+      for (std::size_t k = prev_cut; k < cut; ++k) ++e.outages[k];
+      prev_cut = cut;
+    }
+  }
+  finish_combined(e);
+}
+
+void HistoryStats::finish_combined(CombinedEntry& e) const {
+  const std::size_t nbids = bid_grid_.size();
   const double h = hours();
-  out.availability.resize(nbids);
-  out.outage_rate.resize(nbids);
+  e.availability.resize(nbids);
+  e.outage_rate.resize(nbids);
   for (std::size_t k = 0; k < nbids; ++k) {
-    out.availability[order_[k]] =
-        static_cast<double>(up[k]) / static_cast<double>(n_);
-    out.outage_rate[order_[k]] =
-        h > 0 ? static_cast<double>(outages[k]) / h : 0.0;
+    e.availability[order_[k]] =
+        static_cast<double>(e.up[k]) / static_cast<double>(n_);
+    e.outage_rate[order_[k]] =
+        h > 0 ? static_cast<double>(e.outages[k]) / h : 0.0;
   }
 }
 
@@ -231,24 +266,32 @@ const HistoryStats::CombinedEntry& HistoryStats::combined_entry(
     const std::vector<std::size_t>& zones) const {
   REDSPOT_CHECK(!zones.empty());
   std::uint64_t mask = 0;
+  bool cacheable = true;
   for (std::size_t z : zones) {
     REDSPOT_CHECK(z < base_.size());
-    if (z < 64) mask |= std::uint64_t{1} << z;
+    if (z < 64) {
+      mask |= std::uint64_t{1} << z;
+    } else {
+      cacheable = false;
+    }
+  }
+  // A zone beyond 63 has no bit in the mask: compute the subset fresh in a
+  // scratch entry that no slide keeps, so the memo stays bounded.
+  if (!cacheable) {
+    uncached_.zones.assign(zones.begin(), zones.end());
+    fill_combined(uncached_);
+    return uncached_;
   }
   // Memoize per mask (a duplicate or reordered zone list is the same
-  // subset). Zones beyond 63 would alias masks; fall back to a fresh
-  // un-cached entry in that unlikely case.
-  const bool cacheable =
-      std::all_of(zones.begin(), zones.end(),
-                  [](std::size_t z) { return z < 64; });
-  if (cacheable) {
-    for (const CombinedEntry& e : combined_memo_)
-      if (e.mask == mask) return e;
-  }
-  combined_memo_.emplace_back();
-  fill_combined(cacheable ? mask : 0, zones, combined_memo_.back());
-  if (!cacheable) combined_memo_.back().mask = ~std::uint64_t{0};
-  return combined_memo_.back();
+  // subset).
+  for (const CombinedEntry& e : combined_memo_)
+    if (e.mask == mask) return e;
+  CombinedEntry& e = combined_memo_.emplace_back();
+  e.mask = mask;
+  for (std::size_t z = 0; z < 64; ++z)
+    if (mask & (std::uint64_t{1} << z)) e.zones.push_back(z);
+  fill_combined(e);
+  return e;
 }
 
 double HistoryStats::combined_availability(

@@ -15,9 +15,18 @@
 // [cut, end) found by binary search, so one pass covers the whole grid.
 // The same counters slide under advance(): evicted and appended samples
 // adjust them exactly, and integer arithmetic makes the slid state equal
-// the from-scratch state bit-for-bit (property-tested). Subset statistics
-// (combined availability / full-outage rate) are memoized per zone
-// bitmask and invalidated whenever the window moves.
+// the from-scratch state bit-for-bit (property-tested).
+//
+// Subset statistics (combined availability / full-outage rate) are
+// memoized per zone bitmask, filled by one scan of the window on the first
+// read of that subset, and then slide with the window too: each entry
+// keeps integer up / outage counters per bid over the subset's cheapest
+// price, adjusted over the evicted and appended samples like the per-zone
+// counters. A steady-state advance plus reads of every memoized subset
+// allocates nothing. The memo is dropped only where the per-zone counters
+// are rebuilt (a backward move, no overlap, different storage). A subset
+// naming a zone >= 64 has no mask; it is computed fresh on every read and
+// never kept.
 //
 // Lifetime: HistoryStats BORROWS the trace storage passed to the
 // constructor and to advance() — the ZoneTraceSet must outlive it (true
@@ -50,8 +59,9 @@ class HistoryStats {
                std::vector<Money> bid_grid);
 
   /// Slides the window to [from, to). When `traces` is the same storage
-  /// and the window moved forward with overlap, the counters are adjusted
-  /// incrementally in O(samples moved); otherwise everything is rebuilt.
+  /// and the window moved forward with overlap, the counters — per zone
+  /// and per memoized subset — are adjusted incrementally in O(samples
+  /// moved); otherwise everything is rebuilt and the subset memo dropped.
   /// Either way the resulting state equals a fresh construction exactly.
   void advance(const ZoneTraceSet& traces, SimTime from, SimTime to);
 
@@ -74,6 +84,8 @@ class HistoryStats {
   // Introspection for tests and benchmarks.
   std::uint64_t full_rebuilds() const { return full_rebuilds_; }
   std::uint64_t incremental_advances() const { return incremental_advances_; }
+  /// Distinct (mask-addressable) subsets read since the last rebuild.
+  std::size_t memoized_subsets() const { return combined_memo_.size(); }
 
  private:
   /// Exact window aggregates for one (zone, sorted-bid) pair.
@@ -83,9 +95,14 @@ class HistoryStats {
     std::int64_t starts = 0;       ///< interior down->up pairs
     std::int64_t interrupts = 0;   ///< interior up->down pairs
   };
-  /// Memoized subset statistics, per original bid index.
+  /// Statistics of one zone subset: exact counters per sorted bid over the
+  /// subset's cheapest price, and the doubles derived from them per
+  /// original bid index.
   struct CombinedEntry {
     std::uint64_t mask = 0;
+    std::vector<std::size_t> zones;
+    std::vector<std::int64_t> up;       ///< samples with min S <= B
+    std::vector<std::int64_t> outages;  ///< interior any-up -> none-up pairs
     std::vector<double> availability;
     std::vector<double> outage_rate;
   };
@@ -98,8 +115,16 @@ class HistoryStats {
   double sample_dollars(std::size_t zone, std::size_t abs_i) const {
     return base_[zone][abs_i].to_double();
   }
-  void fill_combined(std::uint64_t mask, const std::vector<std::size_t>& zones,
-                     CombinedEntry& out) const;
+  /// cut_of the subset's cheapest price at absolute sample `abs_i`: any
+  /// zone is up at bid B <=> the cheapest zone is within B.
+  std::size_t subset_cut(const CombinedEntry& e, std::size_t abs_i) const;
+  /// Counts `e` over the whole window, from scratch.
+  void fill_combined(CombinedEntry& e) const;
+  /// Adjusts `e` from window [old_lo, old_hi) to the current one.
+  void slide_combined(CombinedEntry& e, std::size_t old_lo,
+                      std::size_t old_hi) const;
+  /// Recomputes `e`'s doubles from its counters.
+  void finish_combined(CombinedEntry& e) const;
   const CombinedEntry& combined_entry(
       const std::vector<std::size_t>& zones) const;
   double hours() const;
@@ -122,9 +147,12 @@ class HistoryStats {
   std::vector<std::size_t> first_cut_;              ///< per zone
   std::vector<std::vector<ZoneBidStats>> stats_;    ///< [zone][original bid]
 
-  /// Lazily filled per subset mask; cleared whenever the window moves.
-  /// Mutable: HistoryStats is a per-strategy, single-threaded object.
+  /// Lazily filled per subset mask; slid by try_advance, cleared by
+  /// rebuild. Mutable: HistoryStats is a per-strategy, single-threaded
+  /// object.
   mutable std::vector<CombinedEntry> combined_memo_;
+  /// Scratch for a subset with a zone >= 64, refilled on every read.
+  mutable CombinedEntry uncached_;
 
   std::uint64_t full_rebuilds_ = 0;
   std::uint64_t incremental_advances_ = 0;

@@ -5,10 +5,12 @@
 //     same window after any sequence of slides — in unique-price mode AND
 //     in quantile-binned mode — including the state-set-changing edges
 //     (evicted last occurrence, appended new price).
-//   * HistoryStats::advance equals a freshly constructed HistoryStats.
+//   * HistoryStats::advance equals a freshly constructed HistoryStats,
+//     per zone and for every memoized zone subset slid along with it.
 //   * The steady-state decision path (constant-price slide + memoized
 //     expected_uptime + Engine::min_observed_price) performs ZERO heap
-//     allocations, verified through a global operator new hook.
+//     allocations, verified through a global operator new hook; so does a
+//     one-sample HistoryStats::advance plus reads of every zone subset.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -396,6 +398,235 @@ TEST(HistoryStatsIncremental, BackwardSlideRebuildsAndMatches) {
   HistoryStats fresh(traces, from, to, grid);
   Rng rng(7);
   expect_stats_identical(slid, fresh, rng);
+}
+
+// --- HistoryStats subset memo slides with the window -------------------------
+//
+// Every subset mask is read before each step, so each step slides a full
+// memo rather than refilling it, and every mask is then compared with a
+// fresh construction.
+
+/// Every non-empty subset of zones [0, n).
+std::vector<std::vector<std::size_t>> all_subsets(std::size_t n) {
+  std::vector<std::vector<std::size_t>> subsets;
+  for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
+    std::vector<std::size_t> subset;
+    for (std::size_t z = 0; z < n; ++z)
+      if (mask & (std::size_t{1} << z)) subset.push_back(z);
+    subsets.push_back(std::move(subset));
+  }
+  return subsets;
+}
+
+/// Reads both subset statistics for every subset and bid; returns a sum so
+/// the reads cannot be optimized away.
+double read_subsets(const HistoryStats& hs,
+                    const std::vector<std::vector<std::size_t>>& subsets) {
+  double sum = 0.0;
+  for (const auto& subset : subsets) {
+    for (std::size_t b = 0; b < hs.bid_grid().size(); ++b)
+      sum += hs.combined_availability(subset, b) +
+             hs.full_outage_rate(subset, b);
+  }
+  return sum;
+}
+
+void expect_subsets_identical(
+    const HistoryStats& got, const HistoryStats& want,
+    const std::vector<std::vector<std::size_t>>& subsets) {
+  ASSERT_EQ(got.window_length(), want.window_length());
+  for (std::size_t s = 0; s < subsets.size(); ++s) {
+    for (std::size_t b = 0; b < got.bid_grid().size(); ++b) {
+      EXPECT_EQ(got.combined_availability(subsets[s], b),
+                want.combined_availability(subsets[s], b))
+          << "subset " << s << " bid " << b;
+      EXPECT_EQ(got.full_outage_rate(subsets[s], b),
+                want.full_outage_rate(subsets[s], b))
+          << "subset " << s << " bid " << b;
+    }
+  }
+}
+
+/// Three zones of piecewise-constant prices over a small alphabet, with
+/// `reserve` samples of storage so appends keep the base pointer.
+ZoneTraceSet alphabet_zones(std::uint64_t seed, std::size_t len,
+                            std::size_t reserve = 0) {
+  std::vector<PriceSeries> series;
+  for (std::uint64_t z = 0; z < 3; ++z) {
+    Rng zr(seed + z);
+    std::vector<double> prices(len);
+    double cur = 0.30;
+    for (auto& p : prices) {
+      if (zr.uniform() < 0.25)
+        cur = 0.20 + 0.15 * static_cast<double>(zr.uniform_index(5));
+      p = cur;
+    }
+    series.push_back(series_of(prices));
+  }
+  ZoneTraceSet traces = zones(std::move(series));
+  if (reserve > 0) traces.reserve_total(reserve);
+  return traces;
+}
+
+const std::vector<Money>& subset_grid() {
+  static const std::vector<Money> grid = {
+      Money::dollars(0.80), Money::dollars(0.25), Money::dollars(0.35),
+      Money::dollars(0.50), Money::dollars(0.35)};  // unsorted, one repeat
+  return grid;
+}
+
+TEST(HistoryStatsSubsetMemo, RandomForwardSlidesSlideEveryMask) {
+  const ZoneTraceSet traces = alphabet_zones(1500, 700);
+  const auto subsets = all_subsets(3);
+  Rng rng(8080);
+  constexpr std::size_t kWindow = 96;
+  HistoryStats slid(traces, traces.start(),
+                    traces.start() + kWindow * kPriceStep, subset_grid());
+  std::size_t lo = 0;
+  std::uint64_t slid_with_memo = 0;
+  for (int round = 0; round < 150; ++round) {
+    read_subsets(slid, subsets);
+    ASSERT_EQ(slid.memoized_subsets(), subsets.size());
+    lo += 1 + rng.uniform_index(6);  // 1..6 samples forward
+    // The right edge also grows by up to two extra samples.
+    const std::size_t len = kWindow + rng.uniform_index(3);
+    if (lo + len > 700) break;
+    const SimTime from = traces.start() + static_cast<SimTime>(lo) * kPriceStep;
+    const SimTime to = from + static_cast<SimTime>(len) * kPriceStep;
+    const std::uint64_t rebuilds = slid.full_rebuilds();
+    slid.advance(traces, from, to);
+    if (slid.full_rebuilds() == rebuilds) {
+      // Slid, not dropped: the memo still holds every mask.
+      EXPECT_EQ(slid.memoized_subsets(), subsets.size());
+      ++slid_with_memo;
+    }
+    expect_subsets_identical(slid, HistoryStats(traces, from, to, subset_grid()),
+                             subsets);
+  }
+  EXPECT_GT(slid_with_memo, 50u);
+}
+
+TEST(HistoryStatsSubsetMemo, LiveAppendsSlideEveryMask) {
+  ZoneTraceSet traces = alphabet_zones(1600, 200, 500);
+  const auto subsets = all_subsets(3);
+  Rng rng(9090);
+  constexpr std::size_t kWindow = 96;
+  HistoryStats slid(traces, traces.end() - kWindow * kPriceStep, traces.end(),
+                    subset_grid());
+  while (traces.zone(0).size() < 500) {
+    std::vector<Money> tick;
+    for (int z = 0; z < 3; ++z)
+      tick.push_back(Money::dollars(
+          0.20 + 0.15 * static_cast<double>(rng.uniform_index(5))));
+    traces.append_tick(tick);
+    if (rng.uniform() < 0.3) continue;  // several ticks between reads
+    read_subsets(slid, subsets);
+    const SimTime to = traces.end();
+    const SimTime from = to - static_cast<SimTime>(kWindow) * kPriceStep;
+    slid.advance(traces, from, to);
+    EXPECT_EQ(slid.memoized_subsets(), subsets.size());
+    expect_subsets_identical(slid, HistoryStats(traces, from, to, subset_grid()),
+                             subsets);
+  }
+  EXPECT_EQ(slid.full_rebuilds(), 1u) << "growth forced a rebuild";
+}
+
+TEST(HistoryStatsSubsetMemo, SameWindowKeepsAndBackwardSlideDropsMemo) {
+  const ZoneTraceSet traces = alphabet_zones(1700, 300);
+  const auto subsets = all_subsets(3);
+  const auto window = [&](std::size_t lo, std::size_t len) {
+    const SimTime from = traces.start() + static_cast<SimTime>(lo) * kPriceStep;
+    return std::pair<SimTime, SimTime>(
+        from, from + static_cast<SimTime>(len) * kPriceStep);
+  };
+  const auto [f0, t0] = window(100, 96);
+  HistoryStats slid(traces, f0, t0, subset_grid());
+  read_subsets(slid, subsets);
+
+  // Same window: nothing moves, the memo is kept as is.
+  slid.advance(traces, f0, t0);
+  EXPECT_EQ(slid.memoized_subsets(), subsets.size());
+  expect_subsets_identical(slid, HistoryStats(traces, f0, t0, subset_grid()),
+                           subsets);
+
+  // Backward slide after the memo is populated: rebuild, memo dropped and
+  // refilled on read.
+  const std::uint64_t rebuilds = slid.full_rebuilds();
+  const auto [f1, t1] = window(60, 96);
+  slid.advance(traces, f1, t1);
+  EXPECT_EQ(slid.full_rebuilds(), rebuilds + 1);
+  EXPECT_EQ(slid.memoized_subsets(), 0u);
+  expect_subsets_identical(slid, HistoryStats(traces, f1, t1, subset_grid()),
+                           subsets);
+
+  // And forward again from the refilled memo.
+  const auto [f2, t2] = window(61, 97);
+  slid.advance(traces, f2, t2);
+  EXPECT_EQ(slid.memoized_subsets(), subsets.size());
+  expect_subsets_identical(slid, HistoryStats(traces, f2, t2, subset_grid()),
+                           subsets);
+}
+
+TEST(HistoryStatsSubsetMemo, ZonesBeyond63AreFreshAndNeverMemoized) {
+  // 66 zones: subsets naming zone 64 or 65 have no mask bit.
+  constexpr std::size_t kZones = 66;
+  std::vector<PriceSeries> series;
+  for (std::uint64_t z = 0; z < kZones; ++z) {
+    Rng zr(3000 + z);
+    std::vector<double> prices(260);
+    double cur = 0.30;
+    for (auto& p : prices) {
+      if (zr.uniform() < 0.3)
+        cur = 0.20 + 0.15 * static_cast<double>(zr.uniform_index(5));
+      p = cur;
+    }
+    series.push_back(series_of(prices));
+  }
+  const ZoneTraceSet traces = zones(std::move(series));
+  const std::vector<std::vector<std::size_t>> subsets = {
+      {64}, {3, 64}, {65, 0, 64}, {1, 2}};
+  constexpr std::size_t kWindow = 48;
+  HistoryStats slid(traces, traces.start(),
+                    traces.start() + kWindow * kPriceStep, subset_grid());
+  for (std::size_t lo = 1; lo <= 100; ++lo) {
+    read_subsets(slid, subsets);
+    EXPECT_EQ(slid.memoized_subsets(), 1u) << "memo grew at slide " << lo;
+    const SimTime from = traces.start() + static_cast<SimTime>(lo) * kPriceStep;
+    const SimTime to = from + static_cast<SimTime>(kWindow) * kPriceStep;
+    slid.advance(traces, from, to);
+    expect_subsets_identical(slid, HistoryStats(traces, from, to, subset_grid()),
+                             subsets);
+  }
+  EXPECT_EQ(slid.memoized_subsets(), 1u);
+  EXPECT_EQ(slid.full_rebuilds(), 1u);
+}
+
+TEST(HistoryStatsSubsetMemo, SteadyStateAdvanceAndReadsAreAllocationFree) {
+  const ZoneTraceSet traces = alphabet_zones(1800, 300);
+  const auto subsets = all_subsets(3);
+  constexpr std::size_t kWindow = 96;
+  const auto window_at = [&](std::size_t lo) {
+    const SimTime from = traces.start() + static_cast<SimTime>(lo) * kPriceStep;
+    return std::pair<SimTime, SimTime>(
+        from, from + static_cast<SimTime>(kWindow) * kPriceStep);
+  };
+  const auto [f0, t0] = window_at(0);
+  HistoryStats slid(traces, f0, t0, subset_grid());
+  double sink = read_subsets(slid, subsets);
+  const auto [f1, t1] = window_at(1);  // warm-up slide
+  slid.advance(traces, f1, t1);
+  sink += read_subsets(slid, subsets);
+  {
+    AllocCounter allocs;
+    for (std::size_t lo = 2; lo < 40; ++lo) {
+      const auto [from, to] = window_at(lo);
+      slid.advance(traces, from, to);
+      sink += read_subsets(slid, subsets);
+    }
+    EXPECT_EQ(allocs.count(), 0u) << "steady-state advance + reads allocated";
+  }
+  EXPECT_GT(sink, 0.0);
+  EXPECT_EQ(slid.full_rebuilds(), 1u);
 }
 
 // --- Live trace growth (serve tick ingestion) --------------------------------

@@ -6,6 +6,9 @@
 // budget and arming.
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -147,6 +150,20 @@ TEST(Transport, TcpRoundTripResolvesEphemeralPort) {
   transport::send_frame(*client, "over tcp");
   FrameBuffer buf;
   EXPECT_EQ(read_frame(*server, buf), "over tcp");
+}
+
+TEST(Transport, TcpSetsNoDelayOnBothEnds) {
+  // Without TCP_NODELAY on the accepted side, every reply a coordinator or
+  // daemon sends waits out Nagle against the peer's delayed ACK (~40 ms).
+  auto [server, client] = make_pair_over("tcp:127.0.0.1:0");
+  const auto nodelay = [](const transport::Stream& s) {
+    int on = 0;
+    socklen_t len = sizeof(on);
+    EXPECT_EQ(::getsockopt(s.fd(), IPPROTO_TCP, TCP_NODELAY, &on, &len), 0);
+    return on;
+  };
+  EXPECT_NE(nodelay(*client), 0) << "connected stream lacks TCP_NODELAY";
+  EXPECT_NE(nodelay(*server), 0) << "accepted stream lacks TCP_NODELAY";
 }
 
 TEST(Transport, ConnectToAbsentPeerIsNullptrNotThrow) {
