@@ -2,8 +2,8 @@
 // report for the CI tolerance gate.
 //
 // Four suites compare the zero-copy / incremental decision path against
-// the materialize-and-rebuild path it replaced, and a fifth times the
-// sweep entry point itself:
+// the materialize-and-rebuild path it replaced, a fifth times the sweep
+// entry point itself and a sixth the per-market S_min index:
 //
 //   1. history query    — PriceView window + min scan vs an owning
 //                         PriceSeries::window materialization.
@@ -24,6 +24,10 @@
 //                         after a first call on it: the market's trace
 //                         index and fingerprint are reused, so a repeat
 //                         call costs its lanes, not an O(trace) rebuild.
+//   6. trace index      — building the S_min range-min index over one
+//                         ensemble replication's 3-zone trimmed trace (every
+//                         replication builds its own), a 2-day window query,
+//                         and the index's bytes per sample (hard ceiling).
 //
 // A global operator-new hook additionally counts heap allocations on the
 // steady-state policy path (constant-price slide + memoized uptime), which
@@ -59,6 +63,7 @@
 #include "markov/model.hpp"
 #include "markov/uptime.hpp"
 #include "trace/synthetic.hpp"
+#include "trace/trace_index.hpp"
 #include "trace/zone_traces.hpp"
 
 // --- Allocation-counting hook (mirrors tests/decision_path_test.cpp) --------
@@ -555,7 +560,40 @@ int main(int argc, char** argv) {
     report.set("fig4_repeat_call_ms", repeat_ms);
   }
 
-  // --- 6. steady-state allocation count --------------------------------------
+  // --- 6. trace index: build, query and footprint ---------------------------
+  {
+    const ZoneTraceSet traces = generate_traces(trimmed_spec(
+        paper_trace_spec(7), window_end(VolatilityWindow::kHigh)));
+    const double build_ns = median_ns(reps, quick ? 10 : 40, [&](int) {
+      const SharedTraceIndex index(traces);
+      g_sink += static_cast<std::int64_t>(index.num_zones());
+    });
+    const SharedTraceIndex index(traces);
+    std::vector<std::pair<std::size_t, PriceView>> windows;
+    Rng rng(31);
+    for (int q = 0; q < 1024; ++q) {
+      const std::size_t zone = rng.uniform_index(traces.num_zones());
+      const PriceSeries& series = traces.zone(zone);
+      const std::size_t lo = rng.uniform_index(series.size() - kWindow + 1);
+      windows.emplace_back(
+          zone, PriceView(series.time_of(lo), series.step(),
+                          series.samples().subspan(lo, kWindow)));
+    }
+    const double query_ns = median_ns(reps, quick ? 4000 : 20000, [&](int i) {
+      const auto& [zone, view] = windows[static_cast<std::size_t>(i) % 1024];
+      g_sink += index.min_over(zone, view).micros();
+    });
+    std::size_t samples = 0;
+    for (std::size_t z = 0; z < traces.num_zones(); ++z)
+      samples += traces.zone(z).size();
+    report.set("trace_index_build_ns", build_ns);
+    report.set("trace_index_query_ns", query_ns);
+    report.set("trace_index_bytes_per_sample",
+               static_cast<double>(index.bytes()) /
+                   static_cast<double>(samples));
+  }
+
+  // --- 7. steady-state allocation count --------------------------------------
   {
     const PriceSeries flat(0, kPriceStep,
                            std::vector<Money>(kWindow + 128, Money::cents(30)));

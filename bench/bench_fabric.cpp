@@ -7,12 +7,14 @@
 //
 //   1. dispatch       — a one-replication-per-shard ensemble (compute is
 //                       negligible) run through a real coordinator plus
-//                       one forked worker over a unix socket, vs the same
-//                       spec through parallel_for_shards in-process. The
+//                       one forked worker over a unix socket (and again
+//                       over TCP loopback), vs the same spec through
+//                       parallel_for_shards in-process, run as alternating
+//                       in-process / fabric pairs. The median per-pair
 //                       difference, spread over the shard count, is the
-//                       full per-shard fabric tax: lease grant, partial
-//                       frame, CRC, ack, poll loop. Gated by a hard
-//                       ceiling on fabric_dispatch_overhead_ratio.
+//                       per-shard fabric tax (lease grant, partial frame,
+//                       CRC, ack, poll loop), reported for information.
+//                       Gated by hard ceilings on the overhead ratios.
 //   2. codec          — encode+decode of a lease/partial/ack exchange per
 //                       shard, isolating serialization from the socket.
 //
@@ -25,6 +27,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "app/ensemble_cli.hpp"
@@ -45,21 +48,27 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+/// Wall time of one call, in ns.
+template <typename F>
+double time_ns(F&& fn) {
+  const auto t0 = Clock::now();
+  fn();
+  const auto t1 = Clock::now();
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+}
+
 /// Median over `reps` timing runs of one call each, in ns.
 template <typename F>
 double median_run_ns(int reps, F&& fn) {
   std::vector<double> ns;
-  ns.reserve(static_cast<std::size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = Clock::now();
-    fn();
-    const auto t1 = Clock::now();
-    ns.push_back(static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count()));
-  }
-  std::sort(ns.begin(), ns.end());
-  return ns[ns.size() / 2];
+  for (int r = 0; r < reps; ++r) ns.push_back(time_ns(fn));
+  return median(std::move(ns));
 }
 
 /// One-replication-per-shard spec: compute cost per dispatch is one
@@ -144,33 +153,44 @@ int main(int argc, char** argv) {
     const EnsembleSpec spec = dispatch_spec(shards);
 
     ThreadPool pool(1);  // the fabric side computes on one worker too
-    const double inproc_ns = median_run_ns(reps, [&] {
-      EnsembleRunner runner(spec);
-      g_sink += static_cast<std::int64_t>(runner.run(pool).configs.size());
-    });
-    report.set("inproc_run_ms", inproc_ns / 1e6);
-
-    // fabric_run_ns times coordinator.run() only, so fork/exec setup of
-    // the worker process is excluded from the dispatch figure.
-    const auto fabric_median = [&](const std::string& endpoint) {
-      std::vector<double> runs;
-      for (int r = 0; r < reps; ++r)
-        runs.push_back(fabric_run_ns(spec, endpoint));
-      std::sort(runs.begin(), runs.end());
-      return runs[runs.size() / 2];
+    const auto inproc_run = [&] {
+      return time_ns([&] {
+        EnsembleRunner runner(spec);
+        g_sink += static_cast<std::int64_t>(runner.run(pool).configs.size());
+      });
     };
 
-    const double fabric_ns = fabric_median(socket_path);
+    // Each fabric run is paired with the in-process run just before it,
+    // so host drift between reps cancels out of the per-pair difference.
+    // fabric_run_ns times coordinator.run() only, so fork/exec setup of
+    // the worker process is excluded from the dispatch figure.
+    std::vector<double> inproc, unix_runs, unix_diffs, tcp_runs, tcp_diffs;
+    for (int r = 0; r < reps; ++r) {
+      inproc.push_back(inproc_run());
+      unix_runs.push_back(fabric_run_ns(spec, socket_path));
+      unix_diffs.push_back(unix_runs.back() - inproc.back());
+      inproc.push_back(inproc_run());
+      tcp_runs.push_back(fabric_run_ns(spec, "tcp:127.0.0.1:0"));
+      tcp_diffs.push_back(tcp_runs.back() - inproc.back());
+    }
+    const double inproc_ns = median(inproc);
+    const auto per_shard_us = [&](double ns) {
+      return ns / 1e3 / static_cast<double>(shards);
+    };
+    report.set("inproc_run_ms", inproc_ns / 1e6);
+
+    const double fabric_ns = median(unix_runs);
     report.set("fabric_run_ms", fabric_ns / 1e6);
     report.set("fabric_dispatch_overhead_ratio", fabric_ns / inproc_ns);
-    report.set("fabric_dispatch_us",
-               (fabric_ns - inproc_ns) / static_cast<double>(shards) / 1e3);
+    // Informational (ungated `_us`): the median per-pair difference per
+    // shard. Once dispatch is cheap it is of the order of the run-to-run
+    // noise, so it can read near zero or below.
+    report.set("fabric_dispatch_us", per_shard_us(median(unix_diffs)));
 
-    const double tcp_ns = fabric_median("tcp:127.0.0.1:0");
+    const double tcp_ns = median(tcp_runs);
     report.set("tcp_fabric_run_ms", tcp_ns / 1e6);
     report.set("tcp_fabric_dispatch_overhead_ratio", tcp_ns / inproc_ns);
-    report.set("tcp_fabric_dispatch_us",
-               (tcp_ns - inproc_ns) / static_cast<double>(shards) / 1e3);
+    report.set("tcp_fabric_dispatch_us", per_shard_us(median(tcp_diffs)));
   }
 
   // --- 2. codec: the per-shard wire round trip without the socket -----------

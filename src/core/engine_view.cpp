@@ -22,7 +22,7 @@ PriceView Engine::history(std::size_t zone) const {
 }
 
 Money Engine::min_observed_price(std::size_t zone) const {
-  // Two table loads into the market's sparse-table index, built once per
+  // A few loads into the market's block range-min index, built once per
   // market on first use — the exact integer minimum PriceView::min_price
   // scans for, with no window materialization.
   return market_->trace_index().min_over(zone, history(zone));

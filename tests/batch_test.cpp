@@ -11,7 +11,8 @@
 // kernels the lockstep driver is built from, and a ThreadPool stress run
 // exercising the engine's many-concurrent-run() thread-safety claim
 // (meaningful under TSan), plus a race for a fresh market's lazily built
-// trace index (also meaningful under TSan).
+// trace index (also meaningful under TSan) and exhaustive checks of that
+// index's block-decomposed range minimum against a scan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,8 +28,10 @@
 #include "core/batch/batch_state.hpp"
 #include "core/batch/batched_engine.hpp"
 #include "core/strategy.hpp"
+#include "exp/scenario.hpp"
 #include "markov/model.hpp"
 #include "test_util.hpp"
+#include "trace/synthetic.hpp"
 #include "trace/trace_index.hpp"
 
 namespace redspot {
@@ -309,6 +312,71 @@ void expect_index_matches_scan(const SpotMarket& market, Rng& rng,
                                                series.step());
     EXPECT_EQ(index.min_over(zone, view).micros(),
               view.min_price().micros());
+  }
+}
+
+// Every [lo, hi) over random prices of sizes straddling the 64-sample
+// block edges: single-sample, same-block (touching neither edge, one edge
+// or both), adjacent-block and multi-block ranges, including a partial
+// last block. The reference is *std::min_element over [lo, hi), kept as
+// a running minimum while hi grows so the sweep stays O(n^2). Stops at
+// the first mismatch.
+void expect_every_range_matches_scan(const std::vector<Money>& samples) {
+  SCOPED_TRACE("size " + std::to_string(samples.size()));
+  RangeMinIndex index;
+  index.build(samples);
+  ASSERT_EQ(index.size(), samples.size());
+  for (std::size_t lo = 0; lo < samples.size(); ++lo) {
+    std::int64_t scan = samples[lo].micros();
+    for (std::size_t hi = lo + 1; hi <= samples.size(); ++hi) {
+      scan = std::min(scan, samples[hi - 1].micros());
+      ASSERT_EQ(index.min_in(lo, hi).micros(), scan)
+          << "lo " << lo << " hi " << hi;
+    }
+  }
+}
+
+TEST(RangeMinIndex, EveryRangeMatchesScanAcrossBlockEdges) {
+  Rng rng(9005);
+  for (const std::size_t n : {1, 2, 63, 64, 65, 127, 128, 129, 1000}) {
+    std::vector<Money> samples;
+    for (std::size_t i = 0; i < n; ++i)
+      samples.push_back(Money::from_micros(
+          static_cast<std::int64_t>(rng.uniform_index(1'000'000))));
+    expect_every_range_matches_scan(samples);
+  }
+}
+
+// The S_min windows the engine asks for over one replication's trimmed
+// high-volatility trace: 10,000 2-day (576-sample) windows at random
+// positions, plus every shorter history window at the trace start.
+TEST(RangeMinIndex, HistoryWindowsOverATrimmedPaperTraceMatchScan) {
+  const ZoneTraceSet traces = generate_traces(trimmed_spec(
+      paper_trace_spec(7), window_end(VolatilityWindow::kHigh)));
+  const SharedTraceIndex index(traces);
+  ASSERT_EQ(index.num_zones(), traces.num_zones());
+  constexpr std::size_t kWindow = 576;
+  const auto expect_window = [&](std::size_t zone, std::size_t lo,
+                                 std::size_t len) {
+    const PriceSeries& series = traces.zone(zone);
+    const PriceView view(series.time_of(lo), series.step(),
+                         series.samples().subspan(lo, len));
+    ASSERT_EQ(index.min_over(zone, view).micros(),
+              std::min_element(view.samples().begin(), view.samples().end())
+                  ->micros())
+        << "zone " << zone << " lo " << lo << " len " << len;
+  };
+  Rng rng(9006);
+  for (int q = 0; q < 10'000; ++q) {
+    const std::size_t zone = rng.uniform_index(traces.num_zones());
+    const std::size_t n = traces.zone(zone).size();
+    ASSERT_GE(n, kWindow);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_window(zone, rng.uniform_index(n - kWindow + 1), kWindow));
+  }
+  for (std::size_t zone = 0; zone < traces.num_zones(); ++zone) {
+    for (std::size_t len = 1; len < kWindow; ++len)
+      ASSERT_NO_FATAL_FAILURE(expect_window(zone, 0, len));
   }
 }
 
