@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <ostream>
 
 namespace redspot {
@@ -27,10 +28,18 @@ Money Money::parse(const std::string& text) {
     ++i;
   }
   if (i < text.size() && text[i] == '$') ++i;
+  // Digits past what int64 micros can hold are flagged, not accumulated:
+  // the signed overflow would be undefined behaviour.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
   std::int64_t whole = 0;
+  bool too_large = false;
   bool any_digit = false;
   while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i]))) {
-    whole = whole * 10 + (text[i] - '0');
+    const int d = text[i] - '0';
+    if (whole > (kMax - d) / 10)
+      too_large = true;
+    else
+      whole = whole * 10 + d;
     any_digit = true;
     ++i;
   }
@@ -50,6 +59,8 @@ Money Money::parse(const std::string& text) {
     ++i;
   REDSPOT_CHECK_MSG(any_digit && i == text.size(),
                     "Money::parse(\"" << text << "\")");
+  REDSPOT_CHECK_MSG(!too_large && whole <= (kMax - frac) / 1'000'000,
+                    "Money::parse(\"" << text << "\"): out of range");
   const std::int64_t micros = whole * 1'000'000 + frac;
   return from_micros(negative ? -micros : micros);
 }

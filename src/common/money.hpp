@@ -38,7 +38,8 @@ class Money {
     return from_micros(c * 10'000);
   }
 
-  /// Parses "1.23", "$1.23", "-0.27". Throws CheckFailure on bad input.
+  /// Parses "1.23", "$1.23", "-0.27". Throws CheckFailure on bad input,
+  /// including a magnitude whose micros do not fit in int64.
   static Money parse(const std::string& text);
 
   constexpr std::int64_t micros() const { return micros_; }

@@ -78,10 +78,10 @@ struct EngineOptions {
   /// fault-free engine bit-for-bit.
   FaultPlan faults;
   /// The market rule set (market/regime.hpp): billing granularity and
-  /// refund rule, rebalance-notice lead time, instance-type universe. The
-  /// default classic-2012 regime reproduces the pre-regime engine
-  /// bit-for-bit. Mutually exclusive with `termination_notice` (the
-  /// Appendix-A ablation keeps its own notice path).
+  /// refund rule, rebalance-notice lead time. The default classic-2012
+  /// regime reproduces the pre-regime engine bit-for-bit. Mutually
+  /// exclusive with `termination_notice` (the Appendix-A ablation keeps
+  /// its own notice path).
   MarketRegime regime;
 };
 

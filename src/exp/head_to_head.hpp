@@ -77,10 +77,8 @@ struct HeadToHeadResult {
 };
 
 /// Runs the full matrix. `market` supplies traces and the on-demand rate;
-/// regimes with an instance-type universe run on the same traces (the
-/// type metadata changes billing/notice semantics, not the lane set —
-/// market/universe.hpp generates multi-type lane sets for the trace-level
-/// analyses).
+/// every regime runs on those same traces, so cells of one policy differ
+/// only by billing and notice rules.
 HeadToHeadResult run_head_to_head(const SpotMarket& market,
                                   const HeadToHeadOptions& options);
 

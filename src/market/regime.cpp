@@ -1,7 +1,5 @@
 #include "market/regime.hpp"
 
-#include "common/check.hpp"
-
 namespace redspot {
 
 MarketRegime MarketRegime::classic_2012() { return MarketRegime{}; }
@@ -22,20 +20,10 @@ MarketRegime MarketRegime::rebalance() {
   return r;
 }
 
-MarketRegime MarketRegime::modern_multi() {
+MarketRegime MarketRegime::per_second_notice() {
   MarketRegime r = per_second();
-  r.name = "modern-multi";
+  r.name = "per-second-notice";
   r.rebalance_notice = 2 * kMinute;
-  // Three 2017-era compute-ish types at distinct price levels. The
-  // correlation matrix is symmetric positive definite with unit diagonal:
-  // large types co-move strongly (shared datacenter demand), the small
-  // type more loosely.
-  r.types = {{"c5.18xlarge", 1.0},
-             {"c5.9xlarge", 0.5},
-             {"c5.4xlarge", 0.25}};
-  r.type_correlation = {{1.0, 0.8, 0.5},
-                        {0.8, 1.0, 0.6},
-                        {0.5, 0.6, 1.0}};
   return r;
 }
 
@@ -47,15 +35,8 @@ const MarketRegime& MarketRegime::classic() {
 const std::vector<MarketRegime>& regime_catalog() {
   static const std::vector<MarketRegime> kCatalog = {
       MarketRegime::classic_2012(), MarketRegime::per_second(),
-      MarketRegime::rebalance(), MarketRegime::modern_multi()};
+      MarketRegime::rebalance(), MarketRegime::per_second_notice()};
   return kCatalog;
-}
-
-const MarketRegime& regime_by_name(const std::string& name) {
-  for (const MarketRegime& r : regime_catalog())
-    if (r.name == name) return r;
-  REDSPOT_CHECK_MSG(false, "unknown market regime: " << name);
-  return regime_catalog().front();  // unreachable
 }
 
 void hash_regime(HashStream& h, const MarketRegime& regime) {
@@ -64,16 +45,9 @@ void hash_regime(HashStream& h, const MarketRegime& regime) {
   h.i64(regime.billing.minimum);
   h.u64(static_cast<std::uint64_t>(regime.billing.refund));
   h.i64(regime.rebalance_notice);
-  h.u64(regime.types.size());
-  for (const InstanceTypeSpec& t : regime.types) {
-    h.str(t.api_name);
-    h.f64(t.price_scale);
-  }
-  h.u64(regime.type_correlation.size());
-  for (const auto& row : regime.type_correlation) {
-    h.u64(row.size());
-    for (double v : row) h.f64(v);
-  }
+  // Former instance-type list lengths (always 0): keeps existing keys.
+  h.u64(0);
+  h.u64(0);
 }
 
 std::uint64_t regime_fingerprint(const MarketRegime& regime) {

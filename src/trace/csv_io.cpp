@@ -1,6 +1,9 @@
 #include "trace/csv_io.hpp"
 
+#include <cctype>
+#include <charconv>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -31,6 +34,23 @@ std::vector<std::string> split_commas(const std::string& s) {
   }
 }
 
+// A whole time field as a base-10 integer, surrounding whitespace allowed.
+// Anything else — trailing text ("300abc"), exponents ("1e3"), overflow —
+// is nullopt rather than a silently truncated prefix.
+std::optional<SimTime> parse_time(const std::string& field) {
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  const char* first = field.data();
+  const char* last = first + field.size();
+  while (first != last && is_space(*first)) ++first;
+  while (last != first && is_space(last[-1])) --last;
+  SimTime t = 0;
+  const auto [end, ec] = std::from_chars(first, last, t);
+  if (ec != std::errc() || end != last) return std::nullopt;
+  return t;
+}
+
 }  // namespace
 
 void write_csv(std::ostream& os, const ZoneTraceSet& traces) {
@@ -59,34 +79,14 @@ void write_csv_file(const std::string& path, const ZoneTraceSet& traces) {
   atomic_write_file(path, buf.str());
 }
 
-namespace {
-
-// One lane block of a trace CSV: the whole file when untyped, one
-// instance type's rows when the header carries `instance_type`.
-struct LaneBlock {
-  std::string type;  // empty for an untyped file
-  std::vector<std::vector<Money>> cols;
-  SimTime start = 0;
-  Duration step = 0;
-  SimTime prev_time = 0;
-  std::size_t rows = 0;
-};
-
-}  // namespace
-
 ZoneTraceSet read_csv(std::istream& is) {
   std::string line;
   if (!std::getline(is, line)) fail(1, "missing header");
   std::vector<std::string> header = split_commas(line);
-  const bool typed = header.size() >= 2 && header[1] == "instance_type";
-  // Index of the first price field in every row (after time, and after
-  // the per-row type when the file is typed).
-  const std::size_t first_price = typed ? 2 : 1;
-  if (header.size() < first_price + 1 || header[0] != "time")
-    fail(1, typed ? "header must be 'time,instance_type,<zone>,...'"
-                  : "header must be 'time,<zone>,...'");
-  const std::size_t num_zones = header.size() - first_price;
-  std::vector<std::string> names(header.begin() + first_price, header.end());
+  if (header.size() < 2 || header[0] != "time")
+    fail(1, "header must be 'time,<zone>,...'");
+  const std::size_t num_zones = header.size() - 1;
+  std::vector<std::string> names(header.begin() + 1, header.end());
   for (std::size_t z = 0; z < names.size(); ++z) {
     if (names[z].empty()) fail(1, "empty zone name in header");
     for (std::size_t other = 0; other < z; ++other) {
@@ -95,112 +95,54 @@ ZoneTraceSet read_csv(std::istream& is) {
     }
   }
 
-  std::vector<LaneBlock> blocks;
-  if (!typed) {
-    blocks.emplace_back();
-    blocks[0].cols.resize(num_zones);
-  }
+  std::vector<std::vector<Money>> cols(num_zones);
+  SimTime start = 0;
+  Duration step = 0;
+  SimTime prev_time = 0;
   std::size_t line_no = 1;
+  std::size_t rows = 0;
   while (std::getline(is, line)) {
     ++line_no;
     if (line.empty()) continue;
     const std::vector<std::string> fields = split_commas(line);
-    const std::size_t want = num_zones + first_price;
-    if (fields.size() != want) {
-      // A file may be typed or untyped, never both — the off-by-one
-      // arity is almost always a row of the other flavor, so say so.
-      if (typed && fields.size() == want - 1)
-        fail(line_no,
-             "untyped row in a typed file (header has 'instance_type')");
-      if (!typed && fields.size() == want + 1)
-        fail(line_no,
-             "typed row in an untyped file (header has no 'instance_type' "
-             "column)");
-      fail(line_no, "expected " + std::to_string(want) + " fields");
-    }
-    SimTime t;
-    try {
-      t = std::stoll(fields[0]);
-    } catch (const std::exception&) {
-      fail(line_no, "bad time '" + fields[0] + "'");
-    }
-    LaneBlock* blk;
-    if (typed) {
-      const std::string& type = fields[1];
-      if (type.empty()) fail(line_no, "empty instance_type");
-      blk = nullptr;
-      for (LaneBlock& b : blocks) {
-        if (b.type == type) {
-          blk = &b;
-          break;
-        }
-      }
-      if (blk == nullptr) {
-        blocks.emplace_back();
-        blk = &blocks.back();
-        blk->type = type;
-        blk->cols.resize(num_zones);
-      }
-    } else {
-      blk = &blocks[0];
-    }
-    // Time-grid checks are per block: typed files interleave the types'
-    // rows, so only rows of the same type must advance on a fixed step.
-    if (blk->rows == 0) {
-      blk->start = t;
-    } else if (t <= blk->prev_time) {
+    if (fields.size() != num_zones + 1)
+      fail(line_no, "expected " + std::to_string(num_zones + 1) + " fields");
+    const std::optional<SimTime> parsed = parse_time(fields[0]);
+    if (!parsed) fail(line_no, "bad time '" + fields[0] + "'");
+    const SimTime t = *parsed;
+    if (rows == 0) {
+      start = t;
+    } else if (t <= prev_time) {
       fail(line_no, "non-monotone time " + std::to_string(t) + " after " +
-                        std::to_string(blk->prev_time));
-    } else if (blk->rows == 1) {
-      blk->step = t - blk->prev_time;
-    } else if (t - blk->prev_time != blk->step) {
+                        std::to_string(prev_time));
+    } else if (rows == 1) {
+      step = t - prev_time;
+    } else if (t - prev_time != step) {
       fail(line_no, "irregular time step");
     }
-    blk->prev_time = t;
+    prev_time = t;
     for (std::size_t z = 0; z < num_zones; ++z) {
       Money price;
       try {
         // Money::parse rejects non-numeric text (including NaN/inf
-        // spellings, which have no digits to parse).
-        price = Money::parse(fields[z + first_price]);
+        // spellings, which have no digits to parse) and values too large
+        // for its int64 micros.
+        price = Money::parse(fields[z + 1]);
       } catch (const CheckFailure&) {
-        fail(line_no, "bad price '" + fields[z + first_price] + "'");
+        fail(line_no, "bad price '" + fields[z + 1] + "'");
       }
       if (price < Money())
-        fail(line_no, "negative price '" + fields[z + first_price] + "'");
-      blk->cols[z].push_back(price);
+        fail(line_no, "negative price '" + fields[z + 1] + "'");
+      cols[z].push_back(price);
     }
-    ++blk->rows;
+    ++rows;
   }
-  if (blocks.empty()) fail(line_no, "need at least two data rows");
-  for (const LaneBlock& b : blocks) {
-    if (b.rows < 2)
-      fail(line_no, typed ? "instance type '" + b.type +
-                                "' needs at least two data rows"
-                          : "need at least two data rows");
-  }
-  for (std::size_t i = 1; i < blocks.size(); ++i) {
-    const LaneBlock& b = blocks[i];
-    if (b.start != blocks[0].start || b.step != blocks[0].step ||
-        b.rows != blocks[0].rows)
-      fail(line_no, "instance type '" + b.type +
-                        "' covers a different time grid than '" +
-                        blocks[0].type + "'");
-  }
+  if (rows < 2) fail(line_no, "need at least two data rows");
 
-  // Lanes are type-major in first-appearance order, named like the
-  // generated universes: "<type>/<zone>" (plain "<zone>" when untyped).
-  std::vector<std::string> lane_names;
   std::vector<PriceSeries> series;
-  lane_names.reserve(blocks.size() * num_zones);
-  series.reserve(blocks.size() * num_zones);
-  for (LaneBlock& b : blocks) {
-    for (std::size_t z = 0; z < num_zones; ++z) {
-      lane_names.push_back(typed ? b.type + "/" + names[z] : names[z]);
-      series.emplace_back(b.start, b.step, std::move(b.cols[z]));
-    }
-  }
-  return ZoneTraceSet(std::move(lane_names), std::move(series));
+  series.reserve(num_zones);
+  for (auto& col : cols) series.emplace_back(start, step, std::move(col));
+  return ZoneTraceSet(std::move(names), std::move(series));
 }
 
 ZoneTraceSet read_csv_file(const std::string& path) {

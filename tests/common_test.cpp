@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -84,6 +86,14 @@ TEST(Money, Parse) {
   EXPECT_THROW(Money::parse(""), CheckFailure);
   EXPECT_THROW(Money::parse("abc"), CheckFailure);
   EXPECT_THROW(Money::parse("1.2.3"), CheckFailure);
+  // Magnitudes are bounded by int64 micros, not wrapped past it.
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(Money::parse("9223372036854.775807").micros(), kMax);
+  EXPECT_EQ(Money::parse("-9223372036854.775807").micros(), -kMax);
+  EXPECT_THROW(Money::parse("9223372036854.775808"), CheckFailure);
+  EXPECT_THROW(Money::parse("9223372036855"), CheckFailure);
+  EXPECT_THROW(Money::parse("12345678901234567890"), CheckFailure);
+  EXPECT_THROW(Money::parse("-99999999999999999999.5"), CheckFailure);
 }
 
 TEST(Money, Str) {

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "common/check.hpp"
 #include "stats/descriptive.hpp"
@@ -198,6 +200,32 @@ TEST(CsvIo, RejectsMalformedInput) {
     std::istringstream in("time,a\n0,0.3,0.4\n300,0.3\n");  // extra field
     EXPECT_THROW(read_csv(in), std::runtime_error);
   }
+  // Time fields are whole base-10 integers: a parsed prefix would read
+  // "300abc" as 300 and "1e3" as 1 (a silent 1-second grid). A typed
+  // header is not a format: its type column is read as prices.
+  for (const auto& [body, line, what] :
+       std::vector<std::tuple<const char*, const char*, const char*>>{
+           {"time,a\n0,0.3\n300abc,0.3\n", "line 3", "bad time"},
+           {"time,a\n0,0.3\n1e3,0.3\n", "line 3", "bad time"},
+           {"time,instance_type,a\n0,cc2.8xlarge,0.270\n"
+            "300,cc2.8xlarge,0.275\n",
+            "line 2", "bad price"}}) {
+    std::istringstream in(body);
+    try {
+      read_csv(in);
+      FAIL() << "malformed CSV accepted: " << body;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    // Whitespace around a time is not malformed.
+    std::istringstream in("time,a\n 0 ,0.3\n300\t,0.3\n");
+    EXPECT_EQ(read_csv(in).step(), 300);
+  }
 }
 
 TEST(CsvIo, RejectsDuplicateAndEmptyZoneNames) {
@@ -232,6 +260,18 @@ TEST(CsvIo, RejectsNanAndNegativePricesWithLineNumbers) {
     EXPECT_THROW(read_csv(in), std::runtime_error);
   }
   {
+    // 20 digits: more dollars than int64 micros can hold.
+    std::istringstream in("time,a\n0,0.3\n300,12345678901234567890\n");
+    try {
+      read_csv(in);
+      FAIL() << "oversized price accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+      EXPECT_NE(std::string(e.what()).find("bad price"), std::string::npos)
+          << e.what();
+    }
+  }
+  {
     std::istringstream in("time,a\n0,0.3\n300,-0.27\n");
     try {
       read_csv(in);
@@ -240,95 +280,6 @@ TEST(CsvIo, RejectsNanAndNegativePricesWithLineNumbers) {
       EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
       EXPECT_NE(std::string(e.what()).find("negative"), std::string::npos);
     }
-  }
-}
-
-TEST(CsvIo, TypedColumnGroupsRowsIntoPerTypeLanes) {
-  std::istringstream in(
-      "time,instance_type,us-east-1a,us-east-1b\n"
-      "0,cc2.8xlarge,0.270,0.271\n"
-      "0,m1.small,0.027,0.028\n"
-      "300,cc2.8xlarge,0.275,0.270\n"
-      "300,m1.small,0.027,0.029\n");
-  const ZoneTraceSet parsed = read_csv(in);
-  ASSERT_EQ(parsed.num_zones(), 4u);
-  // Type-major in first-appearance order, universe-style lane names.
-  EXPECT_EQ(parsed.zone_name(0), "cc2.8xlarge/us-east-1a");
-  EXPECT_EQ(parsed.zone_name(1), "cc2.8xlarge/us-east-1b");
-  EXPECT_EQ(parsed.zone_name(2), "m1.small/us-east-1a");
-  EXPECT_EQ(parsed.zone_name(3), "m1.small/us-east-1b");
-  EXPECT_EQ(parsed.zone(0).sample(1), Money::parse("0.275"));
-  EXPECT_EQ(parsed.zone(3).sample(1), Money::parse("0.029"));
-  EXPECT_EQ(parsed.start(), 0);
-  EXPECT_EQ(parsed.step(), 300);
-}
-
-TEST(CsvIo, RejectsMixedTypedAndUntypedRowsWithLineNumbers) {
-  {
-    // Untyped row (no type field) inside a typed file.
-    std::istringstream in(
-        "time,instance_type,a\n"
-        "0,cc2.8xlarge,0.270\n"
-        "300,0.275\n"
-        "600,cc2.8xlarge,0.270\n");
-    try {
-      read_csv(in);
-      FAIL() << "untyped row in typed file accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("untyped row"), std::string::npos)
-          << e.what();
-    }
-  }
-  {
-    // Typed row inside an untyped file.
-    std::istringstream in(
-        "time,a\n"
-        "0,0.270\n"
-        "300,cc2.8xlarge,0.275\n");
-    try {
-      read_csv(in);
-      FAIL() << "typed row in untyped file accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("typed row"), std::string::npos)
-          << e.what();
-    }
-  }
-  {
-    // Empty type field.
-    std::istringstream in("time,instance_type,a\n0,,0.270\n300,,0.275\n");
-    try {
-      read_csv(in);
-      FAIL() << "empty instance_type accepted";
-    } catch (const std::runtime_error& e) {
-      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
-          << e.what();
-      EXPECT_NE(std::string(e.what()).find("empty instance_type"),
-                std::string::npos)
-          << e.what();
-    }
-  }
-}
-
-TEST(CsvIo, RejectsTypesOnDifferentTimeGrids) {
-  // m1.small is missing its t=300 row.
-  std::istringstream in(
-      "time,instance_type,a\n"
-      "0,cc2.8xlarge,0.270\n"
-      "0,m1.small,0.027\n"
-      "300,cc2.8xlarge,0.275\n"
-      "600,cc2.8xlarge,0.270\n"
-      "600,m1.small,0.028\n");
-  try {
-    read_csv(in);
-    FAIL() << "mismatched per-type time grids accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("different time grid"),
-              std::string::npos)
-        << e.what();
   }
 }
 
