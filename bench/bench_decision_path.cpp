@@ -3,7 +3,8 @@
 //
 // Four suites compare the zero-copy / incremental decision path against
 // the materialize-and-rebuild path it replaced, a fifth times the sweep
-// entry point itself and a sixth the per-market S_min index:
+// entry point itself and a sixth one replication's trace and its S_min
+// index:
 //
 //   1. history query    — PriceView window + min scan vs an owning
 //                         PriceSeries::window materialization.
@@ -24,10 +25,12 @@
 //                         after a first call on it: the market's trace
 //                         index and fingerprint are reused, so a repeat
 //                         call costs its lanes, not an O(trace) rebuild.
-//   6. trace index      — building the S_min range-min index over one
-//                         ensemble replication's 3-zone trimmed trace (every
-//                         replication builds its own), a 2-day window query,
-//                         and the index's bytes per sample (hard ceiling).
+//   6. replication trace — synthesizing one ensemble replication's 3-zone
+//                         trace, cut at its deadline, at a median start of
+//                         the high-volatility grid; building the S_min
+//                         range-min index over it (every replication builds
+//                         its own), a 2-day window query, and the index's
+//                         bytes per sample (hard ceiling).
 //
 // A global operator-new hook additionally counts heap allocations on the
 // steady-state policy path (constant-price slide + memoized uptime), which
@@ -560,10 +563,22 @@ int main(int argc, char** argv) {
     report.set("fig4_repeat_call_ms", repeat_ms);
   }
 
-  // --- 6. trace index: build, query and footprint ---------------------------
+  // --- 6. one replication's trace: synthesis, index build, query, size -----
   {
-    const ZoneTraceSet traces = generate_traces(trimmed_spec(
-        paper_trace_spec(7), window_end(VolatilityWindow::kHigh)));
+    // ShardExecutor::compute synthesizes a replication's trace only
+    // through its deadline; take the median start of a high-window cell.
+    const Scenario cell{VolatilityWindow::kHigh, 0.15, 300, 80};
+    const std::vector<SimTime> starts = cell.starts();
+    const Experiment experiment =
+        Experiment::paper(starts[starts.size() / 2], cell.slack_fraction,
+                          cell.checkpoint_cost);
+    const SyntheticTraceSpec trace_spec = trimmed_spec(
+        paper_trace_spec(7), experiment.deadline_time() + 1);
+    const double generate_ns = median_ns(reps, quick ? 4 : 16, [&](int) {
+      g_sink += static_cast<std::int64_t>(
+          generate_traces(trace_spec).zone(0).size());
+    });
+    const ZoneTraceSet traces = generate_traces(trace_spec);
     const double build_ns = median_ns(reps, quick ? 10 : 40, [&](int) {
       const SharedTraceIndex index(traces);
       g_sink += static_cast<std::int64_t>(index.num_zones());
@@ -586,6 +601,7 @@ int main(int argc, char** argv) {
     std::size_t samples = 0;
     for (std::size_t z = 0; z < traces.num_zones(); ++z)
       samples += traces.zone(z).size();
+    report.set("replication_trace_ns", generate_ns);
     report.set("trace_index_build_ns", build_ns);
     report.set("trace_index_query_ns", query_ns);
     report.set("trace_index_bytes_per_sample",

@@ -44,12 +44,18 @@ Money Money::parse(const std::string& text) {
     ++i;
   }
   std::int64_t frac = 0;
+  bool below_micro = false;
   if (i < text.size() && text[i] == '.') {
     ++i;
     std::int64_t scale = 100'000;  // first fractional digit is 1e-1 dollars
     while (i < text.size() &&
            std::isdigit(static_cast<unsigned char>(text[i]))) {
-      frac += (text[i] - '0') * scale;
+      // A digit past the sixth is finer than Money can hold: zeros are
+      // exact, anything else would be silently shaved off.
+      if (scale == 0)
+        below_micro |= text[i] != '0';
+      else
+        frac += (text[i] - '0') * scale;
       scale /= 10;
       any_digit = true;
       ++i;
@@ -59,6 +65,8 @@ Money Money::parse(const std::string& text) {
     ++i;
   REDSPOT_CHECK_MSG(any_digit && i == text.size(),
                     "Money::parse(\"" << text << "\")");
+  REDSPOT_CHECK_MSG(!below_micro, "Money::parse(\"" << text
+                                                    << "\"): finer than $1e-6");
   REDSPOT_CHECK_MSG(!too_large && whole <= (kMax - frac) / 1'000'000,
                     "Money::parse(\"" << text << "\"): out of range");
   const std::int64_t micros = whole * 1'000'000 + frac;

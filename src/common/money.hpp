@@ -39,7 +39,8 @@ class Money {
   }
 
   /// Parses "1.23", "$1.23", "-0.27". Throws CheckFailure on bad input,
-  /// including a magnitude whose micros do not fit in int64.
+  /// including a magnitude whose micros do not fit in int64 and a nonzero
+  /// digit past the sixth decimal (trailing zeros are fine).
   static Money parse(const std::string& text);
 
   constexpr std::int64_t micros() const { return micros_; }

@@ -67,8 +67,15 @@ void Engine::complete_on_demand_switch() {
     return;
   }
   const Duration restart = committed > 0 ? experiment_.costs.restart : 0;
-  const Duration od =
-      restart + (experiment_.app.total_compute - committed);
+  Duration od = restart + (experiment_.app.total_compute - committed);
+  if (now() + od > experiment_.deadline_time()) {
+    // The margin owes t_r only once progress is committed, so a first
+    // commit holding less than t_r of progress pulls the switch instant
+    // back past the commit itself (DESIGN.md §3, core/deadline/). The
+    // t_c reserve armed before that commit still fits a run of all of C,
+    // and restoring would cost more than it saves: run from scratch.
+    od = experiment_.app.total_compute;
+  }
   billing_.on_demand_usage(now(), od, market_->on_demand_rate());
   result_.on_demand_seconds = od;
   const SimTime finish_at = now() + od;

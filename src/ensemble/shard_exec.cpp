@@ -1,5 +1,6 @@
 #include "ensemble/shard_exec.hpp"
 
+#include <algorithm>
 #include <memory>
 
 #include "common/check.hpp"
@@ -20,8 +21,8 @@ ShardExecutor::ShardExecutor(const EnsembleSpec& spec)
       seeder_(spec.seed),
       instance_(cc2_instance()) {
   // starts() is a pure function of the scenario cell; the trace spec
-  // template is re-seeded per replication and trimmed so only the
-  // evaluation window is synthesized.
+  // template covers the evaluation window and is re-seeded and cut to
+  // each replication's deadline in compute().
   const Scenario scenario{spec_.window, spec_.slack_fraction,
                           spec_.checkpoint_cost, spec_.starts_grid};
   starts_ = scenario.starts();
@@ -63,12 +64,17 @@ std::string ShardExecutor::compute(std::size_t s,
                              static_cast<std::uint32_t>(num_configs()));
   const std::size_t configs = num_configs();
   for (std::size_t r = lo; r < hi; ++r) {
-    // This replication's independent substreams.
-    SyntheticTraceSpec trace_spec = trace_template_;
+    // This replication's independent substreams. The run reads no price
+    // after its deadline (the tick chain stops there and every history
+    // window looks back), so its trace ends at the sample covering it:
+    // the generator draws in step order, so that prefix is bit-identical.
+    const Experiment experiment = make_experiment(r);
+    SyntheticTraceSpec trace_spec = trimmed_spec(
+        trace_template_, std::min(experiment.deadline_time() + 1,
+                                  window_end(spec_.window)));
     trace_spec.seed = seeder_.seed(r, SeedDomain::kTrace);
     const SpotMarket market(generate_traces(trace_spec), instance_,
                             QueueDelayModel());
-    const Experiment experiment = make_experiment(r);
     // One observer audits every lane: it acts only per finished result,
     // so lane interleaving is invisible to it.
     AuditObserver audit_obs(experiment, instance_.on_demand_rate,

@@ -1,7 +1,5 @@
 #include "market/instance_type.hpp"
 
-#include "common/check.hpp"
-
 namespace redspot {
 
 const InstanceType& cc2_instance() {
@@ -26,13 +24,6 @@ const std::vector<InstanceType>& instance_catalog() {
        Money::dollars(0.48), 4, 15.0},
   };
   return catalog;
-}
-
-const InstanceType& find_instance_type(const std::string& api_name) {
-  for (const InstanceType& t : instance_catalog()) {
-    if (t.api_name == api_name) return t;
-  }
-  REDSPOT_CHECK_FAIL("unknown instance type: " << api_name);
 }
 
 }  // namespace redspot

@@ -27,7 +27,4 @@ const InstanceType& cc2_instance();
 /// 2013-era catalog (for examples; the evaluation uses only CC2).
 const std::vector<InstanceType>& instance_catalog();
 
-/// Looks up a type by API name; throws CheckFailure when unknown.
-const InstanceType& find_instance_type(const std::string& api_name);
-
 }  // namespace redspot

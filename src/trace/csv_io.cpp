@@ -125,8 +125,8 @@ ZoneTraceSet read_csv(std::istream& is) {
       Money price;
       try {
         // Money::parse rejects non-numeric text (including NaN/inf
-        // spellings, which have no digits to parse) and values too large
-        // for its int64 micros.
+        // spellings, which have no digits to parse), values too large
+        // for its int64 micros and nonzero digits finer than a micro.
         price = Money::parse(fields[z + 1]);
       } catch (const CheckFailure&) {
         fail(line_no, "bad price '" + fields[z + 1] + "'");

@@ -22,7 +22,8 @@ struct ZoneState {
   double deviation = 0.0;  // AR(1) deviation from the regime level
   SimTime spike_until = 0;
   double spike_price = 0.0;
-  double published = -1.0;  // last published price; <0 = nothing yet
+  bool has_published = false;
+  Money published;  // last published price, on the $0.001 grid
   bool was_spiking = false;
 };
 
@@ -42,6 +43,29 @@ Duration sample_dwell(Rng& rng, Duration mean) {
   return std::max<Duration>(kPriceStep, static_cast<Duration>(d));
 }
 
+/// Length of month m of a spec; months beyond the built-in calendar reuse
+/// 30-day lengths (the paper span, 14 months, is fully covered by it).
+Duration month_length(std::size_t m) {
+  return (m < kTraceMonths ? days_in_month(m) : 30) * kDay;
+}
+
+/// The values of month m of zone z that the step loop reads, computed
+/// once per month.
+struct MonthValues {
+  const ZoneMonthParams* params;
+  SimTime end;              ///< first instant after the month; the last
+                            ///< month runs to the end of the trace
+  double spike_start_prob;  ///< P(a spike starts) per step
+};
+
+MonthValues month_values(const SyntheticTraceSpec& spec, std::size_t z,
+                         std::size_t m, const std::vector<SimTime>& ends) {
+  const ZoneMonthParams& p = spec.params[m][z];
+  return {&p, m + 1 < spec.params.size() ? ends[m] : kNever,
+          p.spikes.per_day_rate * static_cast<double>(spec.step) /
+              static_cast<double>(kDay)};
+}
+
 }  // namespace
 
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
@@ -53,21 +77,28 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
   REDSPOT_CHECK(spec.floor <= spec.cap);
 
   const std::size_t num_months = spec.params.size();
-  // Months beyond the built-in calendar reuse 30-day lengths; the paper span
-  // (14 months) is fully covered by the calendar.
   SimTime span = 0;
   std::vector<SimTime> month_ends(num_months);
   for (std::size_t m = 0; m < num_months; ++m) {
-    span += (m < kTraceMonths ? days_in_month(m) : 30) * kDay;
+    span += month_length(m);
     month_ends[m] = span;
   }
-  const auto num_steps = static_cast<std::size_t>(span / spec.step);
+  const auto span_steps = static_cast<std::size_t>(span / spec.step);
+  REDSPOT_CHECK_MSG(spec.num_steps <= span_steps,
+                    "num_steps beyond the params' months");
+  const std::size_t num_steps =
+      spec.num_steps > 0 ? spec.num_steps : span_steps;
 
   // The shared innovation stream models the weak common demand factor that
   // gives the real data its faint cross-zone dependence.
   Rng common_rng(spec.seed, /*stream=*/0xC0FFEE);
   std::vector<double> shared(num_steps);
   for (double& x : shared) x = common_rng.normal();
+
+  const double own_weight = 1.0 - spec.cross_coupling;
+  const double shared_weight = spec.cross_coupling;
+  const double floor = spec.floor.to_double();
+  const double cap = spec.cap.to_double();
 
   std::vector<PriceSeries> series;
   std::vector<std::string> names;
@@ -80,10 +111,11 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
 
     std::vector<Money> samples(num_steps);
     std::size_t month = 0;
+    MonthValues mv = month_values(spec, z, month, month_ends);
     for (std::size_t i = 0; i < num_steps; ++i) {
       const SimTime t = static_cast<SimTime>(i) * spec.step;
-      while (month + 1 < num_months && t >= month_ends[month]) ++month;
-      const ZoneMonthParams& p = spec.params[month][z];
+      while (t >= mv.end) mv = month_values(spec, z, ++month, month_ends);
+      const ZoneMonthParams& p = *mv.params;
 
       // Regime transitions (semi-Markov with exponential dwells). A month
       // with high_fraction == 0 forces the calm regime.
@@ -106,18 +138,14 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
 
       const RegimeParams& regime = st.in_high ? p.high : p.calm;
       const double own = rng.normal();
-      const double innov = (1.0 - spec.cross_coupling) * own +
-                           spec.cross_coupling * shared[i];
+      const double innov = own_weight * own + shared_weight * shared[i];
       st.deviation =
           regime.reversion * st.deviation + regime.innovation_sd * innov;
       const double latent = regime.level + st.deviation;
 
       // Poisson spike overlay.
       if (t >= st.spike_until && p.spikes.per_day_rate > 0.0) {
-        const double p_start = p.spikes.per_day_rate *
-                               static_cast<double>(spec.step) /
-                               static_cast<double>(kDay);
-        if (rng.bernoulli(p_start)) {
+        if (rng.bernoulli(mv.spike_start_prob)) {
           st.spike_price = rng.uniform(p.spikes.mag_lo, p.spikes.mag_hi);
           st.spike_until = t + sample_dwell(rng, p.spikes.mean_duration);
         }
@@ -127,16 +155,16 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
       // Publish a new price only on regime/spike boundaries or with the
       // regime's change probability; otherwise the market holds the last
       // published price (spot prices are piecewise-constant in reality).
-      const bool must_publish = st.published < 0.0 || regime_switched ||
+      const bool must_publish = !st.has_published || regime_switched ||
                                 spiking != st.was_spiking;
       if (must_publish || rng.bernoulli(regime.change_prob)) {
-        double price = spiking ? std::max(latent, st.spike_price) : latent;
-        price =
-            std::clamp(price, spec.floor.to_double(), spec.cap.to_double());
-        st.published = quantize(price).to_double();
+        const double price =
+            spiking ? std::max(latent, st.spike_price) : latent;
+        st.published = quantize(std::clamp(price, floor, cap));
+        st.has_published = true;
       }
       st.was_spiking = spiking;
-      samples[i] = Money::dollars(st.published);
+      samples[i] = st.published;
     }
     series.emplace_back(0, spec.step, std::move(samples));
     names.push_back("zone-" + std::string(1, static_cast<char>('a' + z)));
@@ -171,16 +199,18 @@ ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec) {
 
 SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until) {
   REDSPOT_CHECK(keep_until > 0);
+  const auto steps =
+      static_cast<std::size_t>((keep_until + spec.step - 1) / spec.step);
+  const SimTime kept = static_cast<SimTime>(steps) * spec.step;
   SimTime span = 0;
   std::size_t months = 0;
-  while (span < keep_until && months < spec.params.size()) {
-    span += (months < kTraceMonths ? days_in_month(months) : 30) * kDay;
-    ++months;
-  }
-  REDSPOT_CHECK_MSG(span >= keep_until, "keep_until beyond the spec's span");
+  while (span < kept && months < spec.params.size())
+    span += month_length(months++);
+  REDSPOT_CHECK_MSG(span >= kept, "keep_until beyond the spec's span");
   spec.params.resize(months);
+  spec.num_steps = steps;
   std::erase_if(spec.forced_spikes,
-                [span](const ForcedSpike& fs) { return fs.start >= span; });
+                [kept](const ForcedSpike& fs) { return fs.start >= kept; });
   return spec;
 }
 

@@ -91,18 +91,23 @@ struct SyntheticTraceSpec {
   /// params[month][zone]; month count defines the generated span starting
   /// at the trace epoch.
   std::vector<std::vector<ZoneMonthParams>> params;
+  /// Steps to generate from the trace epoch; 0 generates every step of
+  /// the months in `params`. Must not exceed that span.
+  std::size_t num_steps = 0;
   std::vector<ForcedSpike> forced_spikes;
 };
 
 /// Generates the trace set described by `spec`.
 ZoneTraceSet generate_traces(const SyntheticTraceSpec& spec);
 
-/// Returns `spec` truncated to the fewest whole months covering
-/// [0, keep_until): later months' parameters and forced spikes starting at
-/// or after the kept span are dropped. The generator's per-zone streams
-/// consume randomness strictly in step order, so the trimmed spec produces
-/// bit-identical prices over the kept prefix — the ensemble layer uses this
-/// to synthesize only the evaluation window of each replication.
+/// Returns `spec` cut to the ceil(keep_until / step) steps covering
+/// [0, keep_until): `num_steps` is set to that count, months after the one
+/// holding the last kept step and forced spikes starting at or after the
+/// kept span are dropped. The generator consumes randomness strictly in
+/// step order, each zone's stream and the shared stream alike, so the
+/// trimmed spec produces bit-identical prices over the kept prefix — the
+/// ensemble layer uses this to synthesize each replication's trace only
+/// through its own deadline.
 SyntheticTraceSpec trimmed_spec(SyntheticTraceSpec spec, SimTime keep_until);
 
 /// The calibrated 14-month, 3-zone specification reproducing the paper's

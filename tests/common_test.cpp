@@ -94,6 +94,14 @@ TEST(Money, Parse) {
   EXPECT_THROW(Money::parse("9223372036855"), CheckFailure);
   EXPECT_THROW(Money::parse("12345678901234567890"), CheckFailure);
   EXPECT_THROW(Money::parse("-99999999999999999999.5"), CheckFailure);
+  // Digits finer than a micro-dollar are rejected, not shaved off;
+  // trailing zeros past the sixth decimal are exact.
+  EXPECT_THROW(Money::parse("0.2709999"), CheckFailure);
+  EXPECT_THROW(Money::parse("0.0000009"), CheckFailure);
+  EXPECT_THROW(Money::parse("1.0000000001"), CheckFailure);
+  EXPECT_EQ(Money::parse("0.2700000"), Money::dollars(0.27));
+  EXPECT_EQ(Money::parse("0.270001000").micros(), 270001);
+  EXPECT_EQ(Money::parse("2.000000000000"), Money::dollars(2.0));
 }
 
 TEST(Money, Str) {

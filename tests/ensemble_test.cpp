@@ -25,9 +25,11 @@
 #include "exp/scenario.hpp"
 #include "journal/run_record.hpp"
 #include "market/instance_type.hpp"
+#include "market/regime.hpp"
 #include "market/spot_market.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/streaming.hpp"
+#include "trace/calendar.hpp"
 #include "trace/synthetic.hpp"
 #include "trace/zone_traces.hpp"
 
@@ -250,6 +252,30 @@ TEST(TrimmedSpecTest, PrefixBitIdenticalToFullTrace) {
   }
 }
 
+// A cut inside a month, off the step grid, keeps exactly the steps
+// covering [0, keep) and every one of them bit-identical.
+TEST(TrimmedSpecTest, CutInsideAMonthKeepsCoveringStepsBitIdentical) {
+  const SyntheticTraceSpec full_spec = paper_trace_spec(7);
+  const ZoneTraceSet full = generate_traces(full_spec);
+  const SimTime keep =
+      window_start(VolatilityWindow::kHigh) + 11 * kDay + 7 * kHour + 1;
+  const SyntheticTraceSpec cut = trimmed_spec(full_spec, keep);
+  const std::size_t steps =
+      static_cast<std::size_t>((keep + kPriceStep - 1) / kPriceStep);
+  EXPECT_EQ(cut.num_steps, steps);
+  EXPECT_EQ(cut.params.size(), kHighVolatilityMonth + 1);
+  EXPECT_TRUE(cut.forced_spikes.empty());  // the March spike starts later
+
+  const ZoneTraceSet trimmed = generate_traces(cut);
+  ASSERT_EQ(trimmed.end(), static_cast<SimTime>(steps) * kPriceStep);
+  ASSERT_GE(trimmed.end(), keep);
+  for (std::size_t z = 0; z < full.num_zones(); ++z) {
+    const auto head = full.zone(z).samples().first(steps);
+    ASSERT_TRUE(std::ranges::equal(trimmed.zone(z).samples(), head))
+        << "zone " << z;
+  }
+}
+
 TEST(TrimmedSpecTest, RejectsSpanBeyondSpec) {
   const SyntheticTraceSpec spec = paper_trace_spec(7);
   EXPECT_THROW(trimmed_spec(spec, 500 * kDay), CheckFailure);  // span ~425d
@@ -468,6 +494,101 @@ TEST(ShardExecutorTest, MixedKindsUnderFaultsMatchScalarRuns) {
     for (const RunResult& run : rec->runs) any_fault |= run.faults.any();
   }
   EXPECT_TRUE(any_fault) << "the fault plan never fired";
+}
+
+// compute() cuts each replication's trace at the sample covering its own
+// deadline; the oracle above synthesizes the whole evaluation window. The
+// records must match on every regime, window, t_c and slack, at the
+// first and the last start of the grid. Adaptive, by far the slowest
+// lane, rides along on the classic regime only.
+TEST(ShardExecutorTest, DeadlineCutTracesMatchFullWindowRuns) {
+  EnsembleConfig periodic;
+  periodic.policy = PolicyKind::kPeriodic;
+  periodic.zones = {0, 1, 2};
+  EnsembleConfig threshold;
+  threshold.policy = PolicyKind::kThreshold;
+  threshold.zones = {1};
+  EnsembleConfig rising_edge;
+  rising_edge.policy = PolicyKind::kRisingEdge;
+  rising_edge.zones = {0, 2};
+  EnsembleConfig markov;
+  markov.policy = PolicyKind::kMarkovDaly;
+  markov.zones = {0, 1, 2};
+  EnsembleConfig adaptive;
+  adaptive.kind = EnsembleConfig::Kind::kAdaptive;
+  EnsembleConfig large_bid;
+  large_bid.kind = EnsembleConfig::Kind::kLargeBid;
+  large_bid.zones = {2};
+
+  for (const MarketRegime& regime : regime_catalog()) {
+    for (const VolatilityWindow window :
+         {VolatilityWindow::kLow, VolatilityWindow::kHigh}) {
+      for (const Duration tc : {Duration{300}, Duration{900}}) {
+        for (const double slack : {0.15, 0.5}) {
+          EnsembleSpec spec;
+          spec.window = window;
+          spec.slack_fraction = slack;
+          spec.checkpoint_cost = tc;
+          spec.seed = 4242;
+          spec.replications = spec.starts_grid;
+          spec.num_shards = spec.starts_grid;  // shard s runs start s
+          spec.use_cache = false;
+          spec.engine.regime = regime;
+          spec.configs = {periodic, threshold, rising_edge, markov,
+                          large_bid};
+          if (regime.name == MarketRegime::classic_2012().name)
+            spec.configs.push_back(adaptive);
+          spec.validate();
+          const ShardExecutor exec(spec);
+          for (const std::size_t s : {std::size_t{0}, spec.starts_grid - 1}) {
+            EXPECT_EQ(exec.compute(s), scalar_shard_record(spec, s))
+                << regime.name << " " << to_string(window) << " t_c=" << tc
+                << " slack=" << slack << " shard " << s;
+          }
+        }
+      }
+    }
+  }
+}
+
+// A first checkpoint holding less than t_r of progress pulls the deadline
+// switch instant back past its own commit: restoring it on on-demand
+// would finish after the deadline, so the run restarts from scratch.
+// Replication 24 of this spec re-requests at 14:55 after going out of
+// bid, starts its first checkpoint at 15:05 with 6m55s of progress, and
+// switches to on-demand when it commits at 15:20.
+TEST(ShardExecutorTest, FirstCommitBelowRestoreCostSwitchesFromScratch) {
+  EnsembleSpec spec;
+  spec.window = VolatilityWindow::kHigh;
+  spec.slack_fraction = 0.15;
+  spec.checkpoint_cost = 900;
+  spec.seed = 7000000;
+  spec.replications = 80;
+  spec.num_shards = 80;
+  spec.use_cache = false;
+  EnsembleConfig rising_edge;
+  rising_edge.policy = PolicyKind::kRisingEdge;
+  rising_edge.bid = Money::cents(81);
+  rising_edge.zones = {0};
+  spec.configs = {rising_edge};
+  spec.validate();
+
+  const ShardExecutor exec(spec);
+  const std::optional<EnsembleShardRecord> rec =
+      decode_ensemble_shard(exec.compute(24));
+  ASSERT_TRUE(rec.has_value());
+  ASSERT_EQ(rec->runs.size(), 1u);
+  const RunResult& run = rec->runs.front();
+  EXPECT_TRUE(run.met_deadline);
+  EXPECT_TRUE(run.switched_to_on_demand);
+  EXPECT_GT(run.committed_progress, 0);
+  EXPECT_LT(run.committed_progress, spec.checkpoint_cost);
+  const Experiment experiment =
+      Scenario{spec.window, spec.slack_fraction, spec.checkpoint_cost,
+               spec.starts_grid}
+          .experiment(24);
+  EXPECT_EQ(run.on_demand_seconds, experiment.app.total_compute);
+  EXPECT_TRUE(exec.audit(*rec));
 }
 
 // The replay audit checks a record under the spec's own regime: a

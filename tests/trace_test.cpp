@@ -3,6 +3,7 @@
 // and the VAR analysis.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <tuple>
 #include <vector>
@@ -207,6 +208,9 @@ TEST(CsvIo, RejectsMalformedInput) {
        std::vector<std::tuple<const char*, const char*, const char*>>{
            {"time,a\n0,0.3\n300abc,0.3\n", "line 3", "bad time"},
            {"time,a\n0,0.3\n1e3,0.3\n", "line 3", "bad time"},
+           // A seventh decimal would be silently shaved off a micro grid.
+           {"time,a\n0,0.3\n300,0.2709999\n", "line 3", "bad price"},
+           {"time,a\n0,0.0000009\n300,0.3\n", "line 2", "bad price"},
            {"time,instance_type,a\n0,cc2.8xlarge,0.270\n"
             "300,cc2.8xlarge,0.275\n",
             "line 2", "bad price"}}) {
@@ -479,6 +483,18 @@ TEST(Synthetic, PricesArePiecewiseConstant) {
     if (w.sample(i) != w.sample(i - 1)) ++changes;
   EXPECT_LT(static_cast<double>(changes) / static_cast<double>(w.size()),
             0.25);
+}
+
+// Every $0.001 price from the floor to the cap survives a round trip
+// through double, so the quantized Money the generator stores equals
+// Money::dollars of the price it publishes.
+TEST(Synthetic, GridPricesRoundTripThroughDouble) {
+  const SyntheticTraceSpec spec = paper_trace_spec(1);
+  for (std::int64_t micros = spec.floor.micros();
+       micros <= spec.cap.micros(); micros += 1000) {
+    const Money q = Money::from_micros(micros);
+    ASSERT_EQ(Money::dollars(q.to_double()), q) << q;
+  }
 }
 
 TEST(Synthetic, GeneratorValidatesSpec) {
